@@ -168,7 +168,7 @@ func BenchmarkAblationSubsetSearch(b *testing.B) {
 					if mode.exhaustive {
 						obs, err = model.ChooseReportExhaustive(m, row, eps)
 					} else {
-						obs, err = model.ChooseReportGreedy(m, row, eps)
+						obs, err = model.ChooseReportGreedy(m, row, eps, nil)
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -330,7 +330,7 @@ func BenchmarkAblationIncrementalSearch(b *testing.B) {
 		}{{"incremental", mdl}, {"scratch", scratchSearchModel{mdl}}} {
 			b.Run(arm.name+"/k="+strconv.Itoa(k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					obs, err := model.ChooseReportGreedy(arm.m, truth, eps)
+					obs, err := model.ChooseReportGreedy(arm.m, truth, eps, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -501,7 +501,7 @@ func BenchmarkAblationSwitchingModel(b *testing.B) {
 				sent := 0
 				for _, row := range test {
 					m.Step()
-					obs, err := model.ChooseReportGreedy(m, row, eps)
+					obs, err := model.ChooseReportGreedy(m, row, eps, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -576,7 +576,7 @@ func BenchmarkAblationAdaptiveRefit(b *testing.B) {
 				sent := 0
 				for _, row := range test {
 					m.Step()
-					obs, err := model.ChooseReportGreedy(m, row, eps)
+					obs, err := model.ChooseReportGreedy(m, row, eps, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

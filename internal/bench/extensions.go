@@ -226,7 +226,7 @@ func replayFraction(m model.Model, rows [][]float64, eps []float64) (float64, er
 	sent := 0
 	for _, row := range rows {
 		m.Step()
-		obs, err := model.ChooseReportGreedy(m, row, eps)
+		obs, err := model.ChooseReportGreedy(m, row, eps, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -30,7 +30,8 @@ import (
 // of attribute values per time step the clique reports to the sink.
 // Implementations must be deterministic for a given clique: both
 // partitioning algorithms and the cost accounting rely on repeatable
-// estimates.
+// estimates. M must be safe for concurrent use: Exhaustive evaluates
+// candidate cliques from several goroutines at once.
 type Evaluator interface {
 	M(clique []int) (float64, error)
 }

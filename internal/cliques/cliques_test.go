@@ -483,23 +483,18 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Random deterministic oracle: m grows sublinearly with clique
-		// size, scaled per lowest member, memoised for consistency.
-		memo := map[string]float64{}
+		// size, scaled per member. It is a pure function of the clique, so
+		// Exhaustive may call it from several goroutines at once.
 		scale := make([]float64, n)
 		for i := range scale {
 			scale[i] = 0.2 + rng.Float64()*0.6
 		}
 		eval := FuncEvaluator(func(clique []int) (float64, error) {
-			key := cliqueKey(clique)
-			if v, ok := memo[key]; ok {
-				return v, nil
-			}
 			m := 0.0
 			for _, i := range clique {
 				m += scale[i]
 			}
 			m *= 0.5 + 0.5/float64(len(clique)) // correlation discount
-			memo[key] = m
 			return m, nil
 		})
 		maxSize := 2 + rng.Intn(2)

@@ -36,8 +36,8 @@ type StepStats struct {
 	// ValuesReported counts attribute values delivered to the sink.
 	ValuesReported int
 	// Reported lists the global attribute indices transmitted this step
-	// (unordered). Event-detection consumers use it to see exactly which
-	// nodes spoke up.
+	// (Ken: ascending within each clique, cliques in partition order).
+	// Event-detection consumers use it to see exactly which nodes spoke up.
 	Reported []int
 	// IntraCost is the intra-source communication cost (collecting clique
 	// members at roots, or aggregation/dissemination for the Average model).

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"ken/internal/cliques"
@@ -65,52 +63,32 @@ type KenConfig struct {
 	Obs *obs.Observer
 }
 
-// kenClique is one clique's runtime state: the two replicated models.
-type kenClique struct {
-	members []int // global attribute indices, sorted
-	root    int
-	src     model.Model
-	sink    model.Model
-	eps     []float64 // clique-local bounds
-	intra   float64   // per-step collection cost at the root
-
-	// srcW/sinkW are the models' allocation-free mean writers, nil when a
-	// model family does not provide one; local and meanBuf are per-clique
-	// step scratch, reused across epochs.
-	srcW    model.MeanWriter
-	sinkW   model.MeanWriter
-	local   []float64
-	meanBuf []float64
-}
-
 // Ken is the paper's architecture: replicated dynamic probabilistic models
 // per clique, with the source transmitting minimal value subsets on
-// prediction misses (§3.2).
+// prediction misses (§3.2). Both replicas of every clique run in this
+// process, over a lossless link unless LossyKen drives it.
 type Ken struct {
-	name       string
-	n          int
-	part       *cliques.Partition
-	cliques    []kenClique
-	top        *network.Topology
-	exhaustive bool
-	prob       *ProbConfig
-	rng        *rand.Rand
-	estBuf     []float64 // Step's returned estimate vector, reused across epochs
+	name    string
+	n       int
+	part    *cliques.Partition
+	cliques []Clique
+	intra   []float64 // per-clique per-step collection cost at the root
+	top     *network.Topology
+	policy  policy
+	estBuf  []float64 // Step's returned estimate vector, reused across epochs
 
 	// Observability handles, resolved once in NewKen; all nil (and
 	// therefore no-ops) when KenConfig.Obs is unset.
-	tracer        *obs.Tracer
-	span          *obs.Span // current epoch span, set by Run via BeginEpoch
-	stepN         int64
-	mValues       *obs.Counter // ken_values_reported_total
-	mSuppressed   *obs.Counter // ken_values_suppressed_total
-	mReportMsgs   *obs.Counter // ken_report_messages_total
-	mProbFlips    *obs.Counter // ken_prob_flips_total
-	mProbSuppress *obs.Counter // ken_prob_suppressed_total
-	mStepSeconds  *obs.Timer   // ken_step_seconds
-	mHeartbeats   *obs.Counter // ken_heartbeats_total (lossy wrapper)
-	mLostReports  *obs.Counter // ken_lost_reports_total (lossy wrapper)
-	stepObserved  bool         // true when mStepSeconds is live
+	tracer       *obs.Tracer
+	span         *obs.Span // current epoch span, set by Run via BeginEpoch
+	stepN        int64
+	mValues      *obs.Counter // ken_values_reported_total
+	mSuppressed  *obs.Counter // ken_values_suppressed_total
+	mReportMsgs  *obs.Counter // ken_report_messages_total
+	mStepSeconds *obs.Timer   // ken_step_seconds
+	mHeartbeats  *obs.Counter // ken_heartbeats_total (lossy wrapper)
+	mLostReports *obs.Counter // ken_lost_reports_total (lossy wrapper)
+	stepObserved bool         // true when mStepSeconds is live
 }
 
 var _ Scheme = (*Ken)(nil)
@@ -118,111 +96,56 @@ var _ Scheme = (*Ken)(nil)
 // NewKen fits per-clique models on the training data and wires up the
 // replicated source/sink pairs.
 func NewKen(cfg KenConfig) (*Ken, error) {
-	if cfg.Partition == nil {
-		return nil, fmt.Errorf("core: KenConfig needs a partition")
-	}
-	if len(cfg.Train) == 0 {
-		return nil, fmt.Errorf("core: KenConfig needs training data")
-	}
-	n := len(cfg.Train[0])
-	if len(cfg.Eps) != n {
-		return nil, fmt.Errorf("core: eps dim %d, training dim %d", len(cfg.Eps), n)
-	}
-	if err := cfg.Partition.Validate(n); err != nil {
-		return nil, err
-	}
+	n := len(cfg.Eps)
 	if cfg.Topology != nil && cfg.Topology.N() != n {
 		return nil, fmt.Errorf("core: topology has %d nodes, data has %d", cfg.Topology.N(), n)
+	}
+	if cfg.Prob != nil && cfg.Prob.Steepness <= 0 {
+		return nil, fmt.Errorf("core: probabilistic reporting needs positive steepness, got %v", cfg.Prob.Steepness)
+	}
+	cl, err := FitCliques(cfg.Partition, cfg.Train, cfg.Eps, cfg.FitCfg, cfg.ModelFactory, BothSides)
+	if err != nil {
+		return nil, err
 	}
 	name := cfg.Name
 	if name == "" {
 		name = fmt.Sprintf("DjC%d", cfg.Partition.MaxCliqueSize())
 	}
-	k := &Ken{
-		name:       name,
-		n:          n,
-		part:       cfg.Partition,
-		top:        cfg.Topology,
-		exhaustive: cfg.Exhaustive,
-		prob:       cfg.Prob,
-	}
-	k.tracer = cfg.Obs.Tracer()
 	reg := cfg.Obs.Registry()
-	k.mValues = reg.Counter("ken_values_reported_total")
-	k.mSuppressed = reg.Counter("ken_values_suppressed_total")
-	k.mReportMsgs = reg.Counter("ken_report_messages_total")
-	k.mProbFlips = reg.Counter("ken_prob_flips_total")
-	k.mProbSuppress = reg.Counter("ken_prob_suppressed_total")
-	k.mHeartbeats = reg.Counter("ken_heartbeats_total")
-	k.mLostReports = reg.Counter("ken_lost_reports_total")
-	k.mStepSeconds = reg.Timer("ken_step_seconds")
-	k.stepObserved = reg != nil
+	k := &Ken{
+		name:    name,
+		n:       n,
+		part:    cfg.Partition,
+		cliques: cl,
+		intra:   make([]float64, len(cl)),
+		top:     cfg.Topology,
+		policy: policy{
+			exhaustive: cfg.Exhaustive,
+			prob:       cfg.Prob,
+			mFlips:     reg.Counter("ken_prob_flips_total"),
+			mSuppress:  reg.Counter("ken_prob_suppressed_total"),
+		},
+		estBuf:       make([]float64, n),
+		tracer:       cfg.Obs.Tracer(),
+		mValues:      reg.Counter("ken_values_reported_total"),
+		mSuppressed:  reg.Counter("ken_values_suppressed_total"),
+		mReportMsgs:  reg.Counter("ken_report_messages_total"),
+		mHeartbeats:  reg.Counter("ken_heartbeats_total"),
+		mLostReports: reg.Counter("ken_lost_reports_total"),
+		mStepSeconds: reg.Timer("ken_step_seconds"),
+		stepObserved: reg != nil,
+	}
 	if cfg.Prob != nil {
-		if cfg.Prob.Steepness <= 0 {
-			return nil, fmt.Errorf("core: probabilistic reporting needs positive steepness, got %v", cfg.Prob.Steepness)
-		}
-		k.rng = rand.New(rand.NewSource(cfg.Prob.Seed))
+		k.policy.rng = rand.New(rand.NewSource(cfg.Prob.Seed))
 	}
-	factory := cfg.ModelFactory
-	if factory == nil {
-		factory = func(train [][]float64) (model.Model, error) {
-			return model.FitLinearGaussian(train, cfg.FitCfg)
-		}
-	}
-	for _, c := range cfg.Partition.Cliques {
-		cols := projectColumns(cfg.Train, c.Members)
-		mdl, err := factory(cols)
-		if err != nil {
-			return nil, fmt.Errorf("core: fitting clique %v: %w", c.Members, err)
-		}
-		if mdl == nil || mdl.Dim() != len(c.Members) {
-			return nil, fmt.Errorf("core: model factory returned wrong dimension for clique %v", c.Members)
-		}
-		eps := make([]float64, len(c.Members))
-		for i, g := range c.Members {
-			if cfg.Eps[g] <= 0 {
-				return nil, fmt.Errorf("core: non-positive epsilon %v for attribute %d", cfg.Eps[g], g)
-			}
-			eps[i] = cfg.Eps[g]
-		}
-		intra := 0.0
-		if cfg.Topology != nil {
-			for _, g := range c.Members {
-				intra += cfg.Topology.Comm(g, c.Root)
+	if cfg.Topology != nil {
+		for ci := range cl {
+			for _, g := range cl[ci].members {
+				k.intra[ci] += cfg.Topology.Comm(g, cl[ci].root)
 			}
 		}
-		src := mdl.Clone()
-		sink := mdl.Clone()
-		srcW, _ := src.(model.MeanWriter)
-		sinkW, _ := sink.(model.MeanWriter)
-		k.cliques = append(k.cliques, kenClique{
-			members: append([]int(nil), c.Members...),
-			root:    c.Root,
-			src:     src,
-			sink:    sink,
-			eps:     eps,
-			intra:   intra,
-			srcW:    srcW,
-			sinkW:   sinkW,
-			local:   make([]float64, len(c.Members)),
-			meanBuf: make([]float64, len(c.Members)),
-		})
 	}
-	k.estBuf = make([]float64, n)
 	return k, nil
-}
-
-// projectColumns extracts the member columns of the full matrix.
-func projectColumns(rows [][]float64, members []int) [][]float64 {
-	out := make([][]float64, len(rows))
-	for t, row := range rows {
-		r := make([]float64, len(members))
-		for i, g := range members {
-			r[i] = row[g]
-		}
-		out[t] = r
-	}
-	return out
 }
 
 // Name implements Scheme.
@@ -253,9 +176,14 @@ func (k *Ken) BeginEpoch(sp *obs.Span) { k.span = sp }
 // it past the next Step must copy (Run does). A fully-suppressed epoch on
 // MeanWriter models with tracing off runs allocation-free; see
 // TestAllocBudgetKenReplay.
+func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) { return k.step(truth, nil) }
+
+// step runs one epoch of the clique kernel over every clique. l, when
+// non-nil, is the lossy link of LossyKen: it schedules heartbeats and
+// drops report values on their way to the sink.
 //
 //ken:hotpath the per-epoch replay loop; suppressed epochs allocate nothing
-func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
+func (k *Ken) step(truth []float64, l *LossyKen) ([]float64, StepStats, error) {
 	if len(truth) != k.n {
 		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), k.n)
 	}
@@ -263,228 +191,96 @@ func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 	if k.stepObserved {
 		start = time.Now()
 	}
-	est := k.estBuf
+	heartbeat := l != nil && l.tick()
 	var st StepStats
 	for ci := range k.cliques {
 		c := &k.cliques[ci]
-		local := c.local
-		for i, g := range c.members {
-			local[i] = truth[g]
-		}
-		c.src.Step()
-		c.sink.Step()
-
-		// Capture the sink replica's prediction before conditioning — the
-		// "what the sink would have believed" side of the audit triple.
-		var pred []float64
-		if k.tracer != nil {
-			//lint:ignore hotalloc tracing epochs capture the pre-conditioning prediction; the untraced path never reaches this
-			pred = append([]float64(nil), c.sink.Mean()...)
-		}
-
-		// Fast path: when the source prediction already satisfies every
-		// bound, all report policies return the empty set — greedy and
-		// exhaustive accept the empty subset, probabilistic flips no coin
-		// (so the rng stream is untouched) — and the policy search with its
-		// allocations can be skipped. Exhaustive keeps its dimension guard:
-		// oversized cliques must keep failing deterministically.
-		var rep map[int]float64
-		fast := c.srcW != nil && !(k.exhaustive && len(c.members) > 20) &&
-			c.srcW.MeanInto(c.meanBuf) == nil &&
-			model.WithinBounds(c.meanBuf, local, c.eps)
-		if !fast {
-			var err error
-			rep, err = k.chooseReport(c, local)
-			if err != nil {
-				return nil, StepStats{}, err
-			}
-		}
-		if err := c.src.Condition(rep); err != nil {
+		c.Gather(truth)
+		c.Step(k.tracer != nil)
+		if err := c.choose(&k.policy, heartbeat); err != nil {
 			return nil, StepStats{}, err
 		}
-		if err := c.sink.Condition(rep); err != nil {
+		got := &c.Sent
+		if l != nil {
+			got = l.transmit(c, heartbeat)
+		}
+		if err := c.Condition(got); err != nil {
 			return nil, StepStats{}, err
 		}
 
-		st.ValuesReported += len(rep)
-		for i := range rep {
+		n := c.Sent.Len()
+		st.ValuesReported += n
+		for _, i := range c.Sent.Slots {
 			//lint:ignore hotalloc report epochs accumulate the reported-attribute list; suppressed epochs never enter this loop
 			st.Reported = append(st.Reported, c.members[i])
 		}
-		st.IntraCost += c.intra
-		st.Bytes += obs.WireBytesPerValue * len(rep)
+		st.IntraCost += k.intra[ci]
+		st.Bytes += obs.WireBytesPerValue * n
 		if k.top == nil {
-			st.SinkCost += float64(len(rep))
+			st.SinkCost += float64(n)
 		} else {
-			st.SinkCost += float64(len(rep)) * k.top.CommToBase(c.root)
+			st.SinkCost += float64(n) * k.top.CommToBase(c.root)
 		}
 		//lint:ignore hotalloc counter increments are allocation-free; the allocating trace branch inside is guarded by tracer == nil
-		k.observeClique(ci, c, rep, rep, pred)
-		if c.sinkW != nil && c.sinkW.MeanInto(c.meanBuf) == nil {
-			for i, g := range c.members {
-				est[g] = c.meanBuf[i]
-			}
-		} else {
-			mean := c.sink.Mean()
-			for i, g := range c.members {
-				est[g] = mean[i]
-			}
+		rs := k.observeClique(ci, c, got)
+		if l != nil {
+			//lint:ignore hotalloc the drop event is built only when tracing and a value was lost
+			l.traceDrops(rs, ci, c)
 		}
+		c.Answer(k.estBuf)
 	}
 	k.stepN++
 	if k.stepObserved {
 		k.mStepSeconds.Observe(time.Since(start))
 	}
-	return est, st, nil
+	return k.estBuf, st, nil
 }
 
 // observeClique feeds one clique's report decision into the metrics and
 // tracer. Counter handles are nil-safe; the trace branch, which allocates
 // the attr and payload slices, is guarded so the unobserved path allocates
-// nothing. pred is the sink replica's prediction captured before
-// conditioning; delivered is the subset of reported that actually reached
-// the sink (identical to reported in the lossless scheme, possibly smaller
-// under the lossy wrapper). When a replay epoch span is active the report
-// becomes a child span and the sink apply its grandchild, giving the
-// auditor the report → apply causal chain; otherwise events are emitted
-// unspanned as before. The report span (nil when no report went out or no
-// epoch span is active) is returned so callers can parent loss events to it.
-func (k *Ken) observeClique(ci int, c *kenClique, reported, delivered map[int]float64, pred []float64) *obs.Span {
-	k.mValues.Add(int64(len(reported)))
-	k.mSuppressed.Add(int64(len(c.members) - len(reported)))
-	if len(reported) > 0 {
+// nothing. delivered is the part of the report that reached the sink
+// (Sent itself in the lossless scheme, possibly less under the lossy
+// wrapper). When a replay epoch span is active the report becomes a child
+// span and the sink apply its grandchild, giving the auditor the report →
+// apply causal chain; otherwise events are emitted unspanned. The report
+// span (nil when no report went out or no epoch span is active) is
+// returned so callers can parent loss events to it.
+func (k *Ken) observeClique(ci int, c *Clique, delivered *Report) *obs.Span {
+	n := c.Sent.Len()
+	k.mValues.Add(int64(n))
+	k.mSuppressed.Add(int64(len(c.members) - n))
+	if n > 0 {
 		k.mReportMsgs.Inc()
 	}
 	if k.tracer == nil {
 		return nil
 	}
-	var rs *obs.Span
-	if len(reported) > 0 {
-		attrs := make([]int, 0, len(reported))
-		values := make([]float64, 0, len(reported))
-		epsR := make([]float64, 0, len(reported))
-		var preds []float64
-		if pred != nil {
-			preds = make([]float64, 0, len(reported))
-		}
-		for _, i := range sortedReportKeys(reported) {
-			attrs = append(attrs, c.members[i])
-			values = append(values, reported[i])
-			epsR = append(epsR, c.eps[i])
-			if pred != nil {
-				preds = append(preds, pred[i])
-			}
-		}
-		ev := obs.Event{
-			Type: obs.EvReport, Step: k.stepN, Clique: ci, Node: c.root,
-			Attrs: attrs, Values: values,
-			Payload: &obs.Payload{
-				Predicted: preds, Observed: values, Eps: epsR,
-				Bytes: obs.WireBytesPerValue * len(attrs),
-			},
-		}
-		if k.span.Active() {
-			rs = k.span.Child()
-			rs.Emit(ev)
-		} else {
-			k.tracer.Emit(ev)
-		}
-	}
-	if len(reported) < len(c.members) {
-		supp := make([]int, 0, len(c.members)-len(reported))
+	rs := c.TraceReport(k.tracer, k.span, k.stepN, ci)
+	if n < len(c.members) {
+		supp := make([]int, 0, len(c.members)-n)
+		next := 0
 		for i, g := range c.members {
-			if _, ok := reported[i]; !ok {
-				supp = append(supp, g)
+			if next < n && c.Sent.Slots[next] == i {
+				next++
+				continue
 			}
+			supp = append(supp, g)
 		}
-		ev := obs.Event{
+		k.emit(k.span, obs.Event{
 			Type: obs.EvSuppress, Step: k.stepN, Clique: ci, Node: c.root,
 			Attrs: supp,
-		}
-		if k.span.Active() {
-			k.span.Emit(ev)
-		} else {
-			k.tracer.Emit(ev)
-		}
+		})
 	}
-	if len(delivered) > 0 {
-		attrs := make([]int, 0, len(delivered))
-		values := make([]float64, 0, len(delivered))
-		for _, i := range sortedReportKeys(delivered) {
-			attrs = append(attrs, c.members[i])
-			values = append(values, delivered[i])
-		}
-		ev := obs.Event{
-			Type: obs.EvApply, Step: k.stepN, Clique: ci, Node: -1,
-			Attrs: attrs, Values: values, N: len(attrs),
-		}
-		if rs.Active() {
-			rs.Child().Emit(ev)
-		} else {
-			k.tracer.Emit(ev)
-		}
-	}
+	c.TraceApply(k.tracer, rs, k.stepN, ci, -1, delivered)
 	return rs
 }
 
-// emitResync traces a heartbeat re-synchronisation (lossy wrapper).
-func (k *Ken) emitResync(step int64) {
-	if k.tracer == nil {
-		return
-	}
-	ev := obs.Event{Type: obs.EvResync, Step: step, Clique: -1, Node: -1}
-	if k.span.Active() {
-		k.span.Emit(ev)
+// emit sends ev under span sp when it is active, else unspanned.
+func (k *Ken) emit(sp *obs.Span, ev obs.Event) {
+	if sp.Active() {
+		sp.Emit(ev)
 	} else {
 		k.tracer.Emit(ev)
 	}
-}
-
-// sortedReportKeys iterates a report set deterministically for tracing.
-func sortedReportKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// chooseReport runs the configured report-set policy on the source model.
-// The greedy default engages the model's incremental conditioning
-// evaluator when available (see model.ChooseReportGreedy); the exhaustive
-// and probabilistic policies use the reference paths.
-func (k *Ken) chooseReport(c *kenClique, local []float64) (map[int]float64, error) {
-	if k.prob != nil {
-		return k.chooseProbabilistic(c, local)
-	}
-	if k.exhaustive {
-		return model.ChooseReportExhaustive(c.src, local, c.eps)
-	}
-	return model.ChooseReportGreedy(c.src, local, c.eps)
-}
-
-// chooseProbabilistic implements §6's relaxed step function: attributes
-// within bounds are never reported; violating attributes flip a coin whose
-// success probability rises with the violation ratio, so small overshoots
-// are sometimes suppressed while gross ones almost always go out.
-func (k *Ken) chooseProbabilistic(c *kenClique, local []float64) (map[int]float64, error) {
-	mean := c.src.Mean()
-	obs := map[int]float64{}
-	for i := range local {
-		ratio := math.Abs(mean[i]-local[i]) / c.eps[i]
-		if ratio <= 1 {
-			continue
-		}
-		p := 1 - math.Exp(-k.prob.Steepness*(ratio-1))
-		k.mProbFlips.Inc()
-		if k.rng.Float64() < p {
-			obs[i] = local[i]
-		} else {
-			// A bound violation survived the coin flip unreported — the
-			// stochastic relaxation §6 trades for extra savings.
-			k.mProbSuppress.Inc()
-		}
-	}
-	return obs, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"ken/internal/cliques"
-	"ken/internal/model"
 	"ken/internal/obs"
 )
 
@@ -33,7 +32,8 @@ type LossyKen struct {
 	ken  *Ken
 	cfg  LossyConfig
 	rng  *rand.Rand
-	step int
+	hb   Heartbeat
+	lost []int // the current clique's dropped attributes, for the trace
 
 	// Heartbeats counts heartbeat rounds issued.
 	Heartbeats int
@@ -59,9 +59,11 @@ func NewLossyKen(kcfg KenConfig, lcfg LossyConfig) (*LossyKen, error) {
 		return nil, err
 	}
 	return &LossyKen{
-		ken: k,
-		cfg: lcfg,
-		rng: rand.New(rand.NewSource(lcfg.Seed)),
+		ken:  k,
+		cfg:  lcfg,
+		rng:  rand.New(rand.NewSource(lcfg.Seed)),
+		hb:   NewHeartbeat(lcfg.HeartbeatEvery),
+		lost: make([]int, 0, kcfg.Partition.MaxCliqueSize()),
 	}, nil
 }
 
@@ -78,108 +80,64 @@ func (l *LossyKen) Partition() *cliques.Partition { return l.ken.Partition() }
 // epoch span to the wrapped scheme.
 func (l *LossyKen) BeginEpoch(sp *obs.Span) { l.ken.BeginEpoch(sp) }
 
-// Step implements Scheme.
-func (l *LossyKen) Step(truth []float64) ([]float64, StepStats, error) {
+// Step implements Scheme: Ken's step over the lossy link. The returned
+// estimate slice is reused across calls, as for Ken.Step.
+func (l *LossyKen) Step(truth []float64) ([]float64, StepStats, error) { return l.ken.step(truth, l) }
+
+// tick advances the heartbeat schedule. Heartbeats carry every clique
+// value and are delivered reliably (acked end-to-end).
+func (l *LossyKen) tick() bool {
+	if !l.hb.Tick() {
+		return false
+	}
 	k := l.ken
-	if len(truth) != k.n {
-		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), k.n)
+	l.Heartbeats++
+	k.mHeartbeats.Inc()
+	if k.tracer != nil {
+		k.emit(k.span, obs.Event{Type: obs.EvResync, Step: k.stepN + 1, Clique: -1, Node: -1})
 	}
-	l.step++
-	heartbeat := l.cfg.HeartbeatEvery > 0 && l.step%l.cfg.HeartbeatEvery == 0
-	if heartbeat {
-		l.Heartbeats++
-		k.mHeartbeats.Inc()
-		k.emitResync(int64(l.step))
+	return true
+}
+
+// transmit delivers c's report to the sink subject to loss (heartbeats
+// exempt) and returns what arrived. Loss coins are flipped in ascending
+// slot order so a fixed seed reproduces the same loss pattern run after
+// run.
+//
+//ken:hotpath a suppressed clique flips no coin
+func (l *LossyKen) transmit(c *Clique, heartbeat bool) *Report {
+	l.lost = l.lost[:0]
+	if heartbeat || l.cfg.LossRate <= 0 {
+		return &c.Sent
 	}
-
-	est := make([]float64, k.n)
-	var st StepStats
-	for ci := range k.cliques {
-		c := &k.cliques[ci]
-		local := make([]float64, len(c.members))
-		for i, g := range c.members {
-			local[i] = truth[g]
+	c.Got.Reset()
+	for k, i := range c.Sent.Slots {
+		if l.rng.Float64() < l.cfg.LossRate {
+			l.LostMessages++
+			l.ken.mLostReports.Inc()
+			//lint:ignore hotalloc lost holds at most one clique's members, the capacity NewLossyKen reserves
+			l.lost = append(l.lost, c.members[i])
+			continue
 		}
-		c.src.Step()
-		c.sink.Step()
-
-		// Capture the sink replica's prediction before conditioning — under
-		// loss the replicas diverge, so this is the sink's (possibly stale)
-		// view the auditor compares against ground truth.
-		var pred []float64
-		if k.tracer != nil {
-			pred = append([]float64(nil), c.sink.Mean()...)
-		}
-
-		var rep map[int]float64
-		var err error
-		if heartbeat {
-			// Heartbeats carry every clique value and are delivered
-			// reliably (acked end-to-end).
-			rep = make(map[int]float64, len(local))
-			for i, v := range local {
-				rep[i] = v
-			}
-		} else {
-			rep, err = model.ChooseReportGreedy(c.src, local, c.eps)
-			if err != nil {
-				return nil, StepStats{}, err
-			}
-		}
-
-		// The source believes everything it sent.
-		if err := c.src.Condition(rep); err != nil {
-			return nil, StepStats{}, err
-		}
-		// The sink receives each value subject to loss (heartbeats exempt).
-		// Loss coins are flipped in sorted attribute order so a fixed seed
-		// reproduces the same loss pattern run after run.
-		delivered := rep
-		var lost []int
-		if !heartbeat && l.cfg.LossRate > 0 {
-			delivered = make(map[int]float64, len(rep))
-			for _, i := range sortedReportKeys(rep) {
-				if l.rng.Float64() < l.cfg.LossRate {
-					l.LostMessages++
-					k.mLostReports.Inc()
-					lost = append(lost, c.members[i])
-					continue
-				}
-				delivered[i] = rep[i]
-			}
-		}
-		if err := c.sink.Condition(delivered); err != nil {
-			return nil, StepStats{}, err
-		}
-
-		st.ValuesReported += len(rep)
-		for i := range rep {
-			st.Reported = append(st.Reported, c.members[i])
-		}
-		rs := k.observeClique(ci, c, rep, delivered, pred)
-		if len(lost) > 0 && k.tracer != nil {
-			ev := obs.Event{
-				Type: obs.EvDrop, Step: k.stepN, Clique: ci, Node: c.root,
-				Attrs: lost, Detail: "loss",
-			}
-			if rs.Active() {
-				rs.Child().Emit(ev)
-			} else {
-				k.tracer.Emit(ev)
-			}
-		}
-		st.IntraCost += c.intra
-		st.Bytes += obs.WireBytesPerValue * len(rep)
-		if k.top == nil {
-			st.SinkCost += float64(len(rep))
-		} else {
-			st.SinkCost += float64(len(rep)) * k.top.CommToBase(c.root)
-		}
-		mean := c.sink.Mean()
-		for i, g := range c.members {
-			est[g] = mean[i]
-		}
+		c.Got.Add(i, c.Sent.Values[k])
 	}
-	k.stepN++
-	return est, st, nil
+	return &c.Got
+}
+
+// traceDrops emits the values transmit lost as a child of the report span
+// rs (or unspanned when none is active).
+func (l *LossyKen) traceDrops(rs *obs.Span, ci int, c *Clique) {
+	k := l.ken
+	if len(l.lost) == 0 || k.tracer == nil {
+		return
+	}
+	ev := obs.Event{
+		Type: obs.EvDrop, Step: k.stepN, Clique: ci, Node: c.root,
+		Attrs: append([]int(nil), l.lost...), Detail: "loss",
+	}
+	if rs.Active() {
+		rs.Child().Emit(ev)
+	} else {
+		k.tracer.Emit(ev)
+	}
 }

@@ -56,6 +56,34 @@ func TestLoaderTypeChecksAcrossPackages(t *testing.T) {
 	}
 }
 
+// TestLoaderStopsAtNestedModules: like `go list ./...`, the recursive
+// pattern skips a subdirectory holding its own go.mod — that tree is a
+// separate module with its own dependencies and lint run.
+func TestLoaderStopsAtNestedModules(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"a/a.go":           "package a\n\nfunc A() int { return 1 }\n",
+		"nested/go.mod":    "module nestedmod\n\ngo 1.22\n",
+		"nested/main.go":   "package main\n\nimport \"nestedmod/dep\"\n\nfunc main() { dep.D() }\n",
+		"nested/dep/d.go":  "package dep\n\nfunc D() {}\n",
+		"nested/dep/x.txt": "not go\n",
+	})
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "fixturemod/a" {
+		var paths []string
+		for _, p := range pkgs {
+			paths = append(paths, p.Path)
+		}
+		t.Fatalf("loaded %q, want only fixturemod/a", paths)
+	}
+}
+
 func TestLoaderIncludesTestFilesWhenAsked(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"p/p.go":      "package p\n\nfunc P() {}\n",

@@ -131,6 +131,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			if p != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 				return filepath.SkipDir
 			}
+			// A directory with its own go.mod is a separate module; like
+			// `go list ./...`, the pattern stops at its boundary.
+			if p != l.moduleRoot && fileExists(filepath.Join(p, "go.mod")) {
+				return filepath.SkipDir
+			}
 			if hasGoFiles(p) {
 				add(p)
 			}
@@ -168,6 +173,11 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		return nil, fmt.Errorf("driver: no Go files in %s", dir)
 	}
 	return pkg, nil
+}
+
+func fileExists(p string) bool {
+	fi, err := os.Stat(p)
+	return err == nil && !fi.IsDir()
 }
 
 func hasGoFiles(dir string) bool {

@@ -88,21 +88,22 @@ func reportOrderLeaks(pass *driver.Pass, info *types.Info, rng *ast.RangeStmt, f
 				"channel send inside range over map: delivery order follows the randomized "+
 					"map iteration order")
 		case *ast.AssignStmt:
-			obj, ok := appendTarget(info, n)
+			tgt, ok := appendTarget(info, n)
 			if !ok {
 				return true
 			}
 			// A slice declared inside the range body is rebuilt from
 			// scratch on every iteration; its element order comes from the
 			// body's own control flow, not from which key the map handed
-			// out first.
-			if obj.Pos() >= rng.Body.Pos() && obj.Pos() < rng.Body.End() {
+			// out first. For a field target the variable holding the
+			// struct decides.
+			if r := tgt.root; r != nil && r.Pos() >= rng.Body.Pos() && r.Pos() < rng.Body.End() {
 				return true
 			}
-			if !sortedAfter(info, funcBody, rng, obj) {
+			if !sortedAfter(info, funcBody, rng, tgt.obj) {
 				pass.Reportf(n.Pos(),
 					"append to %q inside range over map without sorting it afterwards: "+
-						"element order follows the randomized map iteration order", obj.Name())
+						"element order follows the randomized map iteration order", tgt.name)
 			}
 		case *ast.CallExpr:
 			fn := callee(info, n)
@@ -127,9 +128,17 @@ func reportOrderLeaks(pass *driver.Pass, info *types.Info, rng *ast.RangeStmt, f
 	})
 }
 
+// appendDest is the slice an append statement writes to.
+type appendDest struct {
+	obj  types.Object // the variable or field appended to
+	root types.Object // the variable the selector chain starts at; nil if none
+	name string       // source form, for the diagnostic
+}
+
 // appendTarget matches `x = append(x, ...)` / `x := append(x, ...)` (also
-// the +=-style multi-assign forms) and returns the object appended to.
-func appendTarget(info *types.Info, asg *ast.AssignStmt) (types.Object, bool) {
+// the +=-style multi-assign forms) and `x.f = append(x.f, ...)` selector
+// targets, and returns the slice appended to.
+func appendTarget(info *types.Info, asg *ast.AssignStmt) (appendDest, bool) {
 	for i, rhs := range asg.Rhs {
 		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 		if !ok {
@@ -145,18 +154,40 @@ func appendTarget(info *types.Info, asg *ast.AssignStmt) (types.Object, bool) {
 		if i >= len(asg.Lhs) {
 			continue
 		}
-		lhs, ok := ast.Unparen(asg.Lhs[i]).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if obj := info.Defs[lhs]; obj != nil {
-			return obj, true
-		}
-		if obj := info.Uses[lhs]; obj != nil {
-			return obj, true
+		switch lhs := ast.Unparen(asg.Lhs[i]).(type) {
+		case *ast.Ident:
+			if obj := identObject(info, lhs); obj != nil {
+				return appendDest{obj: obj, root: obj, name: obj.Name()}, true
+			}
+		case *ast.SelectorExpr:
+			obj := info.Uses[lhs.Sel]
+			if obj == nil {
+				continue
+			}
+			d := appendDest{obj: obj, name: types.ExprString(lhs)}
+			x := ast.Unparen(lhs.X)
+			for {
+				sel, ok := x.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				x = ast.Unparen(sel.X)
+			}
+			if root, ok := x.(*ast.Ident); ok {
+				d.root = identObject(info, root)
+			}
+			return d, true
 		}
 	}
-	return nil, false
+	return appendDest{}, false
+}
+
+// identObject resolves an identifier to the object it defines or uses.
+func identObject(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
 }
 
 // sortedAfter reports whether obj is passed to a sort.* / slices.Sort*

@@ -16,6 +16,39 @@ func appendsWithoutSort(m map[string]int) []string {
 	return out
 }
 
+type stats struct{ reported []string }
+
+// appendsToField leaks map order into a struct field just as into a
+// local slice.
+func appendsToField(m map[string]int, st *stats) {
+	for k := range m {
+		st.reported = append(st.reported, k) // want `append to "st.reported" inside range over map`
+	}
+}
+
+// fieldThenSort restores the order before the field is read.
+func fieldThenSort(m map[string]int) stats {
+	var st stats
+	for k := range m {
+		st.reported = append(st.reported, k)
+	}
+	sort.Strings(st.reported)
+	return st
+}
+
+// perIterationStruct builds a fresh struct each iteration.
+func perIterationStruct(m map[string][]string) int {
+	n := 0
+	for _, ks := range m {
+		var st stats
+		for _, k := range ks {
+			st.reported = append(st.reported, k)
+		}
+		n += len(st.reported)
+	}
+	return n
+}
+
 // collectThenSort is the canonical fix: the order the elements arrived in
 // no longer matters once they are sorted.
 func collectThenSort(m map[string]int) []string {

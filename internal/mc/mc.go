@@ -91,7 +91,7 @@ func simulate(m model.Sampler, eps []float64, horizon int, rng *rand.Rand) (int,
 			return 0, err
 		}
 		belief.Step()
-		obs, err := model.ChooseReportGreedy(belief, next, eps)
+		obs, err := model.ChooseReportGreedy(belief, next, eps, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -57,7 +57,7 @@ func TestAdaptiveReplicaLockstep(t *testing.T) {
 	for _, row := range data[100:300] {
 		src.Step()
 		sink.Step()
-		obs, err := ChooseReportGreedy(src, row, eps)
+		obs, err := ChooseReportGreedy(src, row, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,14 +90,14 @@ func TestAdaptiveGuaranteeHolds(t *testing.T) {
 	eps := []float64{0.5, 0.5}
 	for step, row := range data[100:] {
 		m.Step()
-		obs, err := ChooseReportGreedy(m, row, eps)
+		obs, err := ChooseReportGreedy(m, row, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Condition(obs); err != nil {
 			t.Fatal(err)
 		}
-		if !WithinBounds(m.Mean(), row, eps) {
+		if !withinBounds(m.Mean(), row, eps) {
 			t.Fatalf("step %d: adaptive model violated ε after conditioning", step)
 		}
 	}
@@ -122,7 +122,7 @@ func TestAdaptiveBeatsStaticUnderDrift(t *testing.T) {
 		sentFirst, sentSecond := 0, 0
 		for i, row := range test {
 			m.Step()
-			obs, err := ChooseReportGreedy(m, row, eps)
+			obs, err := ChooseReportGreedy(m, row, eps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestAdaptiveRefitKeepsPhase(t *testing.T) {
 	eps := []float64{0.5, 0.5}
 	for _, row := range data[100:300] {
 		m.Step()
-		obs, err := ChooseReportGreedy(m, row, eps)
+		obs, err := ChooseReportGreedy(m, row, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

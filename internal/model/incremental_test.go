@@ -49,11 +49,11 @@ func TestChooseReportGreedyIncrementalMatchesScratch(t *testing.T) {
 	for step := 100; step < 160; step++ {
 		lg.Step()
 		truth := data[step]
-		fast, err := ChooseReportGreedy(lg, truth, eps)
+		fast, err := ChooseReportGreedy(lg, truth, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := ChooseReportGreedy(hideIC{lg}, truth, eps)
+		slow, err := ChooseReportGreedy(hideIC{lg}, truth, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestLinearGaussianGenerationAndStaleness(t *testing.T) {
 	// The public search path recovers transparently (CondReset re-seeds).
 	truth := data[102]
 	eps := []float64{0.01, 0.01, 0.01, 0.01}
-	if _, err := ChooseReportGreedy(lg, truth, eps); err != nil {
+	if _, err := ChooseReportGreedy(lg, truth, eps, nil); err != nil {
 		t.Fatal(err)
 	}
 }

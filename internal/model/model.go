@@ -111,10 +111,17 @@ func checkObs(obs map[int]float64, dim int) error {
 // attribute always satisfies the bounds, so the loop terminates in at most
 // Dim() rounds. The returned map is empty when the unconditioned prediction
 // is already accurate.
-func ChooseReportGreedy(m Model, truth, eps []float64) (map[int]float64, error) {
+//
+// avail, when non-nil, is an availability mask for partial observability:
+// only attributes with avail[i] set — clique members whose readings reached
+// the root; others may be dead or their collection messages lost — are
+// checked against ε and eligible for reporting. The rest are left to the
+// model and their truth entries are ignored. nil means every attribute is
+// available.
+func ChooseReportGreedy(m Model, truth, eps []float64, avail []bool) (map[int]float64, error) {
 	n := m.Dim()
-	if len(truth) != n || len(eps) != n {
-		return nil, fmt.Errorf("%w: truth %d, eps %d, model %d", ErrDim, len(truth), len(eps), n)
+	if len(truth) != n || len(eps) != n || (avail != nil && len(avail) != n) {
+		return nil, fmt.Errorf("%w: truth %d, eps %d, avail %d, model %d", ErrDim, len(truth), len(eps), len(avail), n)
 	}
 	// The first round of the search scans every attribute, so a
 	// non-positive ε is always a definitive error regardless of which
@@ -124,111 +131,59 @@ func ChooseReportGreedy(m Model, truth, eps []float64) (map[int]float64, error) 
 			return nil, fmt.Errorf("model: non-positive epsilon %v for attribute %d", eps[i], i)
 		}
 	}
-	if ic, isIC := m.(IncrementalConditioner); isIC {
-		if obs, ok := chooseReportIncremental(ic, truth, eps); ok {
-			return obs, nil
-		}
-		// Evaluator declined (stale cache, degenerate pivot with no jitter
-		// ladder, …): the from-scratch search below is the reference path.
-	}
-	obs := map[int]float64{}
-	for len(obs) < n {
-		mean, err := m.MeanGiven(obs)
-		if err != nil {
-			return nil, err
-		}
-		worst, worstRatio := -1, 1.0
-		for i := 0; i < n; i++ {
-			if _, ok := obs[i]; ok {
-				continue
-			}
-			if r := math.Abs(mean[i]-truth[i]) / eps[i]; r > worstRatio {
-				worst, worstRatio = i, r
-			}
-		}
-		if worst < 0 {
-			return obs, nil
-		}
-		obs[worst] = truth[worst]
-	}
-	return obs, nil
-}
-
-// chooseReportIncremental runs the greedy search against a model's cached
-// incremental conditioning evaluator: identical selection rule (largest
-// normalised violation, strict improvement over ratio 1), but each round
-// grows the cached factorization by one attribute instead of
-// reconditioning from scratch. Returns ok=false when the evaluator cannot
-// answer — the caller then reruns on the reference MeanGiven path.
-func chooseReportIncremental(ic IncrementalConditioner, truth, eps []float64) (map[int]float64, bool) {
-	n := ic.Dim()
-	if err := ic.CondReset(); err != nil {
-		return nil, false
+	// On models with the incremental evaluator each round grows its cached
+	// factorization by one attribute instead of reconditioning from
+	// scratch; the selection rule is the same. If the evaluator declines
+	// (stale cache, degenerate pivot with no jitter ladder, …) the search
+	// restarts on the from-scratch MeanGiven path, the reference semantics.
+	ic, _ := m.(IncrementalConditioner)
+	if ic != nil && ic.CondReset() != nil {
+		ic = nil
 	}
 	mean := make([]float64, n)
 	obs := map[int]float64{}
 	for len(obs) < n {
-		if err := ic.CondMeanInto(mean); err != nil {
-			return nil, false
+		if ic != nil && ic.CondMeanInto(mean) != nil {
+			ic = nil
+			clear(obs)
 		}
-		worst, worstRatio := -1, 1.0
-		for i := 0; i < n; i++ {
-			if _, ok := obs[i]; ok {
-				continue
-			}
-			if r := math.Abs(mean[i]-truth[i]) / eps[i]; r > worstRatio {
-				worst, worstRatio = i, r
+		if ic == nil {
+			var err error
+			if mean, err = m.MeanGiven(obs); err != nil {
+				return nil, err
 			}
 		}
+		worst := worstViolation(mean, truth, eps, avail, obs)
 		if worst < 0 {
-			return obs, true
+			break
 		}
-		if err := ic.CondAdd(worst, truth[worst]); err != nil {
-			return nil, false
+		if ic != nil && ic.CondAdd(worst, truth[worst]) != nil {
+			ic = nil
+			clear(obs)
+			continue
 		}
 		obs[worst] = truth[worst]
 	}
-	return obs, true
+	return obs, nil
 }
 
-// ChooseReportGreedyPartial is ChooseReportGreedy under partial
-// observability: truth is known only for the attributes present in the
-// avail map (clique members whose readings reached the root — others may
-// be dead or their collection messages lost). Only available attributes
-// are checked against ε and eligible for reporting; unavailable ones are
-// left to the model.
-func ChooseReportGreedyPartial(m Model, avail map[int]float64, eps []float64) (map[int]float64, error) {
-	n := m.Dim()
-	if len(eps) != n {
-		return nil, fmt.Errorf("%w: eps %d, model %d", ErrDim, len(eps), n)
-	}
-	if err := checkObs(avail, n); err != nil {
-		return nil, err
-	}
-	obs := map[int]float64{}
-	for len(obs) < len(avail) {
-		mean, err := m.MeanGiven(obs)
-		if err != nil {
-			return nil, err
+// worstViolation returns the available, not yet observed attribute with
+// the largest normalised violation above 1 (the lowest index on ties), or
+// -1 when every such prediction is within its bound.
+func worstViolation(mean, truth, eps []float64, avail []bool, obs map[int]float64) int {
+	worst, worstRatio := -1, 1.0
+	for i := range mean {
+		if avail != nil && !avail[i] {
+			continue
 		}
-		worst, worstRatio := -1, 1.0
-		for i, v := range avail {
-			if _, ok := obs[i]; ok {
-				continue
-			}
-			if eps[i] <= 0 {
-				return nil, fmt.Errorf("model: non-positive epsilon %v for attribute %d", eps[i], i)
-			}
-			if r := math.Abs(mean[i]-v) / eps[i]; r > worstRatio {
-				worst, worstRatio = i, r
-			}
+		if _, ok := obs[i]; ok {
+			continue
 		}
-		if worst < 0 {
-			return obs, nil
+		if r := math.Abs(mean[i]-truth[i]) / eps[i]; r > worstRatio {
+			worst, worstRatio = i, r
 		}
-		obs[worst] = avail[worst]
 	}
-	return obs, nil
+	return worst
 }
 
 // ChooseReportExhaustive finds the smallest subset (breaking ties by the
@@ -303,10 +258,4 @@ func withinBounds(mean, truth, eps []float64) bool {
 		}
 	}
 	return true
-}
-
-// WithinBounds exposes the ε-accuracy check for callers that audit Ken's
-// output guarantee.
-func WithinBounds(mean, truth, eps []float64) bool {
-	return withinBounds(mean, truth, eps)
 }

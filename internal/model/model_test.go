@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ken/internal/trace"
@@ -355,7 +356,7 @@ func TestSeasonalProfileFallback(t *testing.T) {
 
 func TestChooseReportGreedyEmptyWhenAccurate(t *testing.T) {
 	c, _ := NewConstant([]float64{1, 2}, []float64{0, 0})
-	obs, err := ChooseReportGreedy(c, []float64{1.1, 2.1}, []float64{0.5, 0.5})
+	obs, err := ChooseReportGreedy(c, []float64{1.1, 2.1}, []float64{0.5, 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +369,7 @@ func TestChooseReportGreedyIndependent(t *testing.T) {
 	c, _ := NewConstant([]float64{0, 0, 0}, []float64{0, 0, 0})
 	truth := []float64{5, 0.1, -3}
 	eps := []float64{0.5, 0.5, 0.5}
-	obs, err := ChooseReportGreedy(c, truth, eps)
+	obs, err := ChooseReportGreedy(c, truth, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +399,7 @@ func TestChooseReportUsesCorrelation(t *testing.T) {
 	mean := m.Mean()
 	truth := []float64{mean[0] + 1.2, mean[1] + 1.2}
 	eps := []float64{0.5, 0.5}
-	obs, err := ChooseReportGreedy(m, truth, eps)
+	obs, err := ChooseReportGreedy(m, truth, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestChooseReportUsesCorrelation(t *testing.T) {
 	if err := m.Condition(obs); err != nil {
 		t.Fatal(err)
 	}
-	if !WithinBounds(m.Mean(), truth, eps) {
+	if !withinBounds(m.Mean(), truth, eps) {
 		t.Fatal("post-report predictions violate ε")
 	}
 }
@@ -427,7 +428,7 @@ func TestChooseReportExhaustiveMatchesOrBeatsGreedy(t *testing.T) {
 		mean := m.Mean()
 		truth := []float64{mean[0] + rng.NormFloat64()*1.5, mean[1] + rng.NormFloat64()*1.5}
 		eps := []float64{0.5, 0.5}
-		g, err := ChooseReportGreedy(m, truth, eps)
+		g, err := ChooseReportGreedy(m, truth, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +445,7 @@ func TestChooseReportExhaustiveMatchesOrBeatsGreedy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !WithinBounds(mm, truth, eps) {
+			if !withinBounds(mm, truth, eps) {
 				t.Fatalf("report set %v does not restore accuracy", obs)
 			}
 		}
@@ -453,10 +454,10 @@ func TestChooseReportExhaustiveMatchesOrBeatsGreedy(t *testing.T) {
 
 func TestChooseReportValidation(t *testing.T) {
 	c, _ := NewConstant([]float64{0}, []float64{0})
-	if _, err := ChooseReportGreedy(c, []float64{1, 2}, []float64{1}); err == nil {
+	if _, err := ChooseReportGreedy(c, []float64{1, 2}, []float64{1}, nil); err == nil {
 		t.Fatal("expected dim error")
 	}
-	if _, err := ChooseReportGreedy(c, []float64{9}, []float64{0}); err == nil {
+	if _, err := ChooseReportGreedy(c, []float64{9}, []float64{0}, nil); err == nil {
 		t.Fatal("expected error for zero epsilon")
 	}
 	if _, err := ChooseReportExhaustive(c, []float64{9}, []float64{-1}); err == nil {
@@ -486,10 +487,12 @@ func TestDiagonalAFit(t *testing.T) {
 func TestChooseReportGreedyPartial(t *testing.T) {
 	c, _ := NewConstant([]float64{0, 0, 0}, []float64{0, 0, 0})
 	eps := []float64{0.5, 0.5, 0.5}
-	// Attribute 0 violates but is unavailable; attribute 2 violates and is
-	// available: only 2 can be reported.
-	avail := map[int]float64{1: 0.1, 2: 5}
-	obs, err := ChooseReportGreedyPartial(c, avail, eps)
+	// Attribute 0 violates but is unavailable (its truth entry is ignored,
+	// even when not finite); attribute 2 violates and is available: only 2
+	// can be reported.
+	truth := []float64{math.NaN(), 0.1, 5}
+	avail := []bool{false, true, true}
+	obs, err := ChooseReportGreedy(c, truth, eps, avail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +503,7 @@ func TestChooseReportGreedyPartial(t *testing.T) {
 		t.Fatalf("obs = %v, want attribute 2", obs)
 	}
 	// No available attributes: nothing to send.
-	obs, err = ChooseReportGreedyPartial(c, nil, eps)
+	obs, err = ChooseReportGreedy(c, truth, eps, make([]bool, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,13 +511,13 @@ func TestChooseReportGreedyPartial(t *testing.T) {
 		t.Fatalf("obs = %v, want empty", obs)
 	}
 	// Validation.
-	if _, err := ChooseReportGreedyPartial(c, map[int]float64{9: 1}, eps); err == nil {
-		t.Fatal("expected error for out-of-range availability")
+	if _, err := ChooseReportGreedy(c, truth, eps, []bool{true}); err == nil {
+		t.Fatal("expected error for a mask of the wrong length")
 	}
-	if _, err := ChooseReportGreedyPartial(c, map[int]float64{0: 5}, []float64{0, 1, 1}); err == nil {
+	if _, err := ChooseReportGreedy(c, []float64{5, 0, 0}, []float64{0, 1, 1}, []bool{true, false, false}); err == nil {
 		t.Fatal("expected error for zero epsilon")
 	}
-	if _, err := ChooseReportGreedyPartial(c, avail, []float64{1}); err == nil {
+	if _, err := ChooseReportGreedy(c, truth, []float64{1}, avail); err == nil {
 		t.Fatal("expected error for eps dim mismatch")
 	}
 }
@@ -532,17 +535,35 @@ func TestChooseReportGreedyPartialMatchesFullWhenAllAvailable(t *testing.T) {
 		mean := m.Mean()
 		truth := []float64{mean[0] + rng.NormFloat64(), mean[1] + rng.NormFloat64()}
 		eps := []float64{0.5, 0.5}
-		full, err := ChooseReportGreedy(m, truth, eps)
+		full, err := ChooseReportGreedy(m, truth, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		avail := map[int]float64{0: truth[0], 1: truth[1]}
-		part, err := ChooseReportGreedyPartial(m, avail, eps)
+		part, err := ChooseReportGreedy(m, truth, eps, []bool{true, true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(full) != len(part) {
-			t.Fatalf("partial (%v) and full (%v) disagree with all attrs available", part, full)
+		if !reflect.DeepEqual(full, part) {
+			t.Fatalf("all-available mask (%v) and no mask (%v) disagree", part, full)
+		}
+		// With one attribute hidden, the incremental evaluator and the
+		// from-scratch search still pick the same set.
+		mask := []bool{trial%2 == 0, trial%2 == 1}
+		fast, err := ChooseReportGreedy(m, truth, eps, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := ChooseReportGreedy(hideIC{m}, truth, eps, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("masked search: incremental %v, scratch %v", fast, slow)
+		}
+		for i := range mask {
+			if _, ok := fast[i]; ok && !mask[i] {
+				t.Fatalf("masked search reported unavailable attribute %d: %v", i, fast)
+			}
 		}
 	}
 }
@@ -571,7 +592,7 @@ func TestLinearGaussianLongRunStability(t *testing.T) {
 	eps := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
 	for step, row := range cols[100:] {
 		m.Step()
-		obs, err := ChooseReportGreedy(m, row, eps)
+		obs, err := ChooseReportGreedy(m, row, eps, nil)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}

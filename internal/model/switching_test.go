@@ -137,7 +137,7 @@ func replayReported(t *testing.T, m Model, rows [][]float64, eps []float64) floa
 	sent := 0
 	for _, row := range rows {
 		m.Step()
-		obs, err := ChooseReportGreedy(m, row, eps)
+		obs, err := ChooseReportGreedy(m, row, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,14 +186,14 @@ func TestSwitchingGuaranteeAfterConditioning(t *testing.T) {
 	m := sw.Clone()
 	for step, row := range test {
 		m.Step()
-		obs, err := ChooseReportGreedy(m, row, eps)
+		obs, err := ChooseReportGreedy(m, row, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Condition(obs); err != nil {
 			t.Fatal(err)
 		}
-		if !WithinBounds(m.Mean(), row, eps) {
+		if !withinBounds(m.Mean(), row, eps) {
 			t.Fatalf("step %d: post-report prediction violates ε", step)
 		}
 	}

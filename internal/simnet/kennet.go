@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ken/internal/cliques"
 	"ken/internal/core"
@@ -66,21 +65,13 @@ type KenNetConfig struct {
 // members leave the root partially informed, lost reports desynchronise
 // the replicas, and dead roots silence whole cliques.
 type DistributedKen struct {
-	net   *Network
-	eps   []float64
-	n     int
-	cl    []distClique
-	cfg   KenNetConfig
-	epoch int // local epoch counter scheduling heartbeats
-}
-
-type distClique struct {
-	members []int
-	root    int
-	src     model.Model // executes at the clique root
-	sink    model.Model // executes at the base station
-	eps     []float64
-	det     *core.FailureDetector // at the base; nil when detection is off
+	net *Network
+	eps []float64
+	n   int
+	cl  []core.Clique           // source replica at the root, sink replica at the base
+	det []*core.FailureDetector // per clique at the base; nil when detection is off
+	cfg KenNetConfig
+	hb  core.Heartbeat
 }
 
 var _ Program = (*DistributedKen)(nil)
@@ -98,18 +89,9 @@ func NewDistributedKenConfig(net *Network, part *cliques.Partition, train [][]fl
 	if net == nil {
 		return nil, fmt.Errorf("simnet: nil network")
 	}
-	if len(train) == 0 {
-		return nil, fmt.Errorf("simnet: empty training data")
-	}
-	n := len(train[0])
+	n := len(eps)
 	if n != net.top.N() {
-		return nil, fmt.Errorf("simnet: training dim %d, network has %d nodes", n, net.top.N())
-	}
-	if len(eps) != n {
-		return nil, fmt.Errorf("simnet: eps dim %d, want %d", len(eps), n)
-	}
-	if err := part.Validate(n); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("simnet: eps dim %d, network has %d nodes", n, net.top.N())
 	}
 	if cfg.HeartbeatEvery < 0 {
 		return nil, fmt.Errorf("simnet: heartbeat interval %d must be >= 0", cfg.HeartbeatEvery)
@@ -117,74 +99,33 @@ func NewDistributedKenConfig(net *Network, part *cliques.Partition, train [][]fl
 	if cfg.FailureAlpha < 0 || cfg.FailureAlpha >= 1 {
 		return nil, fmt.Errorf("simnet: failure alpha %v outside [0,1)", cfg.FailureAlpha)
 	}
-	d := &DistributedKen{net: net, eps: append([]float64(nil), eps...), n: n, cfg: cfg}
-	for _, c := range part.Cliques {
-		cols := make([][]float64, len(train))
-		for t, row := range train {
-			r := make([]float64, len(c.Members))
-			for i, g := range c.Members {
-				r[i] = row[g]
-			}
-			cols[t] = r
-		}
-		mdl, err := model.FitLinearGaussian(cols, fitCfg)
-		if err != nil {
-			return nil, fmt.Errorf("simnet: fitting clique %v: %w", c.Members, err)
-		}
-		le := make([]float64, len(c.Members))
-		for i, g := range c.Members {
-			le[i] = eps[g]
-		}
-		dc := distClique{
-			members: append([]int(nil), c.Members...),
-			root:    c.Root,
-			src:     mdl.Clone(),
-			sink:    mdl.Clone(),
-			eps:     le,
-		}
-		if cfg.FailureAlpha > 0 {
-			det, err := core.NewFailureDetector(reportRate(mdl, cols, le, cfg.HeartbeatEvery), cfg.FailureAlpha)
+	cl, err := core.FitCliques(part, train, eps, fitCfg, nil, core.BothSides)
+	if err != nil {
+		return nil, err
+	}
+	d := &DistributedKen{net: net, eps: append([]float64(nil), eps...), n: n, cl: cl,
+		det: make([]*core.FailureDetector, len(cl)), cfg: cfg, hb: core.NewHeartbeat(cfg.HeartbeatEvery)}
+	if cfg.FailureAlpha > 0 {
+		for ci := range cl {
+			c := &cl[ci]
+			det, err := core.NewFailureDetector(reportRate(c, train, cfg.HeartbeatEvery), cfg.FailureAlpha)
 			if err != nil {
-				return nil, fmt.Errorf("simnet: failure detector for clique %v: %w", c.Members, err)
+				return nil, fmt.Errorf("simnet: failure detector for clique %v: %w", c.Members(), err)
 			}
-			det.Instrument(net.tracer, len(d.cl), c.Root)
-			dc.det = det
+			det.Instrument(net.tracer, ci, c.Root())
+			d.det[ci] = det
 		}
-		d.cl = append(d.cl, dc)
 	}
 	return d, nil
 }
 
-// reportRate estimates a clique's per-epoch report probability by
-// replaying the training rows through a clone of the fitted model and
-// counting epochs with a non-empty minimal report set — the m_C the
-// failure detector needs (§6). Heartbeats guarantee a report at least
-// every hb epochs, so they floor the rate; the result is clamped away
-// from {0,1} to keep the detector's log-probabilities finite.
-func reportRate(m model.Model, rows [][]float64, eps []float64, hb int) float64 {
-	clone := m.Clone()
-	reports := 0
-	for _, row := range rows {
-		clone.Step()
-		avail := make(map[int]float64, len(row))
-		for i, v := range row {
-			avail[i] = v
-		}
-		sent, err := model.ChooseReportGreedyPartial(clone, avail, eps)
-		if err != nil {
-			break // fall through to the clamped estimate so far
-		}
-		if len(sent) > 0 {
-			reports++
-		}
-		if err := clone.Condition(sent); err != nil {
-			break
-		}
-	}
-	rate := 0.0
-	if len(rows) > 0 {
-		rate = float64(reports) / float64(len(rows))
-	}
+// reportRate is the clique's per-epoch report probability over the
+// training rows — the m_C the failure detector needs (§6). Heartbeats
+// guarantee a report at least every hb epochs, so they floor the rate; the
+// result is clamped away from {0,1} to keep the detector's
+// log-probabilities finite.
+func reportRate(c *core.Clique, train [][]float64, hb int) float64 {
+	rate := c.ReportRate(train)
 	if hb > 0 {
 		if floor := 1 / float64(hb); rate < floor {
 			rate = floor
@@ -202,10 +143,10 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 		return EpochResult{}, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), d.n)
 	}
 	sp := d.net.BeginEpoch()
-	d.epoch++
-	heartbeat := d.cfg.HeartbeatEvery > 0 && d.epoch%d.cfg.HeartbeatEvery == 0
+	step := int64(d.net.stats.Epochs)
+	heartbeat := d.hb.Tick()
 	if heartbeat && sp.Active() {
-		sp.Emit(obs.Event{Type: obs.EvResync, Step: int64(d.net.stats.Epochs), Clique: -1, Node: -1})
+		sp.Emit(obs.Event{Type: obs.EvResync, Step: step, Clique: -1, Node: -1})
 	}
 	res := EpochResult{Estimates: make([]float64, d.n)}
 	if d.cfg.FailureAlpha > 0 {
@@ -214,129 +155,74 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 	reportBytes := 0
 	for ci := range d.cl {
 		c := &d.cl[ci]
+		root := c.Root()
 		// Phase 1 — intra-source collection: each live member ships its
 		// reading to the clique root (the root's own reading is local).
 		// Members cannot know whether the root is still alive, so they
 		// transmit regardless, burning Tx energy; the message dies at a
-		// dead receiver.
-		avail := map[int]float64{}
-		rootAlive := d.net.Alive(c.root)
-		for i, g := range c.members {
-			if g == c.root {
-				if rootAlive {
-					avail[i] = truth[g]
-				}
-				continue
+		// dead receiver, and a dead root knows nothing.
+		rootAlive := d.net.Alive(root)
+		c.Gather(truth)
+		for i, g := range c.Members() {
+			ok := rootAlive
+			if g != root {
+				ok = d.net.SendReliable(Message{From: g, To: root, Attrs: []int{g}, Values: []float64{truth[g]}}, sp) && rootAlive
 			}
-			ok := d.net.SendReliable(Message{From: g, To: c.root, Attrs: []int{g}, Values: []float64{truth[g]}}, sp)
-			if ok {
-				avail[i] = truth[g]
-			}
+			c.SetAvailable(i, ok)
 		}
 
-		// Phase 2 — inference at the root and minimal reporting. Both
-		// replicas advance even when the root is dead: the sink keeps
-		// predicting from the model (that is the point of Ken).
-		c.src.Step()
-		c.sink.Step()
-		var pred []float64
-		if sp.Active() {
-			pred = append([]float64(nil), c.sink.Mean()...)
-		}
-		var sent map[int]float64
-		if rootAlive && len(avail) > 0 {
-			if heartbeat {
-				// Heartbeat: ship everything the root collected, not the
-				// minimal set — a full resync of the sink replica (§6).
-				sent = avail
-			} else {
-				var err error
-				sent, err = model.ChooseReportGreedyPartial(c.src, avail, c.eps)
-				if err != nil {
-					return EpochResult{}, err
-				}
-			}
-		}
-		// The source believes what it transmitted (it cannot observe
-		// loss); the sink conditions on what actually arrived.
-		if err := c.src.Condition(sent); err != nil {
+		// Phase 2 — inference at the root and minimal reporting over what
+		// it collected; a heartbeat ships all of it, a full resync of the
+		// sink replica (§6). Both replicas advance even when the root is
+		// dead: the sink keeps predicting from the model (that is the
+		// point of Ken). The source believes what it transmitted (it
+		// cannot observe loss); the sink conditions on what arrived.
+		c.Step(sp.Active())
+		if err := c.Choose(heartbeat); err != nil {
 			return EpochResult{}, err
 		}
 		// The report is a child span of the epoch; its unicasts (and any
 		// loss along the way) trace as grandchildren, so the auditor can
 		// tell a silent divergence from an explained one.
-		reportBytes += obs.WireBytesPerValue * len(sent)
-		var rs *obs.Span
-		if sp.Active() && len(sent) > 0 {
-			rs = sp.Child()
-			attrs := make([]int, 0, len(sent))
-			values := make([]float64, 0, len(sent))
-			preds := make([]float64, 0, len(sent))
-			epsR := make([]float64, 0, len(sent))
-			for _, i := range sortedKeys(sent) {
-				attrs = append(attrs, c.members[i])
-				values = append(values, sent[i])
-				preds = append(preds, pred[i])
-				epsR = append(epsR, c.eps[i])
-			}
-			rs.Emit(obs.Event{
-				Type: obs.EvReport, Step: int64(d.net.stats.Epochs), Clique: ci, Node: c.root,
-				Attrs: attrs, Values: values,
-				Payload: &obs.Payload{
-					Predicted: preds, Observed: values, Eps: epsR,
-					Bytes: obs.WireBytesPerValue * len(attrs),
-				},
-			})
-		}
-		delivered := map[int]float64{}
-		for _, i := range sortedKeys(sent) {
-			g := c.members[i]
-			if d.net.SendReliable(Message{From: c.root, To: d.net.Base(), Attrs: []int{g}, Values: []float64{sent[i]}}, rs) {
-				delivered[i] = sent[i]
+		reportBytes += obs.WireBytesPerValue * c.Sent.Len()
+		rs := c.TraceReport(nil, sp, step, ci)
+		c.Got.Reset()
+		for k, i := range c.Sent.Slots {
+			g, v := c.Members()[i], c.Sent.Values[k]
+			if d.net.SendReliable(Message{From: root, To: d.net.Base(), Attrs: []int{g}, Values: []float64{v}}, rs) {
+				c.Got.Add(i, v)
 			}
 		}
-		if err := c.sink.Condition(delivered); err != nil {
+		if err := c.Condition(&c.Got); err != nil {
 			return EpochResult{}, err
 		}
-		res.ValuesDelivered += len(delivered)
-		if rs.Active() && len(delivered) > 0 {
-			attrs := make([]int, 0, len(delivered))
-			values := make([]float64, 0, len(delivered))
-			for _, i := range sortedKeys(delivered) {
-				attrs = append(attrs, c.members[i])
-				values = append(values, delivered[i])
-			}
-			rs.Child().Emit(obs.Event{
-				Type: obs.EvApply, Step: int64(d.net.stats.Epochs), Clique: ci, Node: d.net.Base(),
-				Attrs: attrs, Values: values, N: len(attrs),
-			})
-		}
+		res.ValuesDelivered += c.Got.Len()
+		c.TraceApply(nil, rs, step, ci, d.net.Base(), &c.Got)
 
 		// Phase 3 — the base answers from the sink replica. The per-clique
 		// failure detector watches report arrivals: a suspected clique's
 		// estimates are still served (the model is all the base has) but
 		// flagged stale instead of being passed off as live data.
 		suspected := false
-		if c.det != nil {
-			suspected = c.det.Observe(len(delivered) > 0)
+		if det := d.det[ci]; det != nil {
+			suspected = det.Observe(c.Got.Len() > 0)
 			if suspected {
 				res.SuspectedCliques++
 			}
 		}
-		mean := c.sink.Mean()
-		for i, g := range c.members {
-			res.Estimates[g] = mean[i]
+		c.Answer(res.Estimates)
+		for _, g := range c.Members() {
 			if suspected {
 				res.Stale[g] = true
 			}
-			if diff := mean[i] - truth[g]; diff > d.eps[g] || diff < -d.eps[g] {
+			if diff := res.Estimates[g] - truth[g]; diff > d.eps[g] || diff < -d.eps[g] {
 				res.Violations++
 			}
 		}
 	}
 	if sp.Active() {
 		sp.EndEpoch(obs.Event{
-			Step: int64(d.net.stats.Epochs), Clique: -1, Node: -1, N: res.ValuesDelivered,
+			Step: step, Clique: -1, Node: -1, N: res.ValuesDelivered,
 			Payload: &obs.Payload{
 				Predicted: res.Estimates, Observed: truth, Eps: d.eps,
 				Bytes:     reportBytes,
@@ -346,16 +232,6 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 		})
 	}
 	return res, nil
-}
-
-// sortedKeys iterates a report set deterministically.
-func sortedKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // DistributedTinyDB is the exact-collection node program: every live node

@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"ken/internal/cliques"
@@ -196,14 +199,18 @@ func gardenNet(t *testing.T, radio Radio, seed int64, multihop bool) (*Network, 
 }
 
 // pairsPartition covers n attributes with pairs (plus a final singleton).
-func pairsPartition(n int) *cliques.Partition {
+func pairsPartition(n int) *cliques.Partition { return chunkPartition(n, 2) }
+
+// chunkPartition groups attributes 0..n-1 into consecutive cliques of k
+// (the last may be smaller), each rooted at its first member.
+func chunkPartition(n, k int) *cliques.Partition {
 	p := &cliques.Partition{}
-	for i := 0; i < n; i += 2 {
-		if i+1 < n {
-			p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i, i + 1}, Root: i})
-		} else {
-			p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i}, Root: i})
+	for i := 0; i < n; i += k {
+		var members []int
+		for j := i; j < i+k && j < n; j++ {
+			members = append(members, j)
 		}
+		p.Cliques = append(p.Cliques, cliques.Clique{Members: members, Root: i})
 	}
 	return p
 }
@@ -476,45 +483,86 @@ func TestDistributedAverageFixedCostHurtsLifetime(t *testing.T) {
 }
 
 // TestDistributedKenMatchesCoreEngine: on a loss-free network the
-// packet-level program runs the identical protocol to the idealised
-// core.Ken scheme — same models, same reports, same estimates, step for
-// step. This ties the two engines together exactly.
+// packet-level program runs the identical protocol to the idealised core
+// schemes — the same clique kernel, so the same report sets and
+// bit-identical estimates, step for step, for clique sizes 2–4. Without
+// heartbeats core.Ken, core.LossyKen at loss rate 0 and DistributedKen
+// must all agree; with heartbeats, which only the lossy schemes send,
+// LossyKen and DistributedKen must.
 func TestDistributedKenMatchesCoreEngine(t *testing.T) {
-	net, train, test, eps := gardenNet(t, DefaultRadio(), 15, false)
-	part := pairsPartition(11)
-	prog, err := NewDistributedKen(net, part, train, eps, model.FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
+	for _, size := range []int{2, 3, 4} {
+		for _, hb := range []int{0, 7} {
+			t.Run(fmt.Sprintf("k%d/hb%d", size, hb), func(t *testing.T) {
+				net, train, test, eps := gardenNet(t, DefaultRadio(), 15, false)
+				part := chunkPartition(len(eps), size)
+				fit := model.FitConfig{Period: 24}
+				prog, err := NewDistributedKenConfig(net, part, train, eps, fit, KenNetConfig{HeartbeatEvery: hb})
+				if err != nil {
+					t.Fatal(err)
+				}
+				kcfg := core.KenConfig{Partition: part, Train: train, Eps: eps, FitCfg: fit}
+				lossy, err := core.NewLossyKen(kcfg, core.LossyConfig{HeartbeatEvery: hb})
+				if err != nil {
+					t.Fatal(err)
+				}
+				schemes := []core.Scheme{lossy}
+				if hb == 0 {
+					ideal, err := core.NewKen(kcfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					schemes = append(schemes, ideal)
+				}
+				total := 0
+				for step, row := range test[:200] {
+					dres, err := prog.Epoch(row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sent := prog.reportedAttrs()
+					if dres.ValuesDelivered != len(sent) {
+						t.Fatalf("step %d: delivered %d of %d reported values on a loss-free radio",
+							step, dres.ValuesDelivered, len(sent))
+					}
+					total += len(sent)
+					for _, s := range schemes {
+						est, st, err := s.Step(row)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rep := append([]int(nil), st.Reported...)
+						sort.Ints(rep)
+						if !reflect.DeepEqual(rep, sent) && len(rep)+len(sent) > 0 {
+							t.Fatalf("step %d: %s reported %v, distributed %v", step, s.Name(), rep, sent)
+						}
+						for i := range est {
+							if math.Float64bits(est[i]) != math.Float64bits(dres.Estimates[i]) {
+								t.Fatalf("step %d attr %d: %s estimate %v, distributed %v",
+									step, i, s.Name(), est[i], dres.Estimates[i])
+							}
+						}
+					}
+				}
+				if total == 0 {
+					t.Fatal("nothing reported in 200 epochs — the comparison is vacuous")
+				}
+			})
+		}
 	}
-	ideal, err := core.NewKen(core.KenConfig{
-		Partition: part,
-		Train:     train,
-		Eps:       eps,
-		FitCfg:    model.FitConfig{Period: 24},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step, row := range test[:200] {
-		dres, err := prog.Epoch(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iest, ist, err := ideal.Step(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dres.ValuesDelivered != ist.ValuesReported {
-			t.Fatalf("step %d: distributed delivered %d, core reported %d",
-				step, dres.ValuesDelivered, ist.ValuesReported)
-		}
-		for i := range iest {
-			if diff := dres.Estimates[i] - iest[i]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("step %d attr %d: estimates diverged %v vs %v",
-					step, i, dres.Estimates[i], iest[i])
-			}
+}
+
+// reportedAttrs lists the attributes the clique roots reported in the
+// last epoch, ascending.
+func (d *DistributedKen) reportedAttrs() []int {
+	var out []int
+	for ci := range d.cl {
+		c := &d.cl[ci]
+		for _, i := range c.Sent.Slots {
+			out = append(out, c.Members()[i])
 		}
 	}
+	sort.Ints(out)
+	return out
 }
 
 // TestDistributedAverageMatchesCoreEngine: on a loss-free network the

@@ -99,7 +99,7 @@ func TestAllocBudgetApplyObserved(t *testing.T) {
 	var step uint64
 	v := test[0][0]
 	f := wire.Frame{Attrs: []int{0}, Values: []float64{v}}
-	// Warm up once so byAttr/obsScratch maps reach steady-state capacity.
+	// Warm up once so the clique observation map reaches steady-state capacity.
 	f.Step = step
 	if err := rep.ApplyObserved(f, &st); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"testing"
 
 	"ken/internal/model"
@@ -86,13 +87,13 @@ func TestStreamLockStepScratch(t *testing.T) {
 			for i, g := range c.members {
 				local[i] = truth[g]
 			}
-			obs, err := model.ChooseReportGreedy(c.mdl, local, c.eps)
+			obs, err := model.ChooseReportGreedy(c.mdl, local, c.eps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			quant := make(map[int]float64, len(obs))
 			for i, v := range obs {
-				qv := quantize(v, res)
+				qv := math.Round(v/res) * res
 				quant[i] = qv
 				fv, ok := frameObs[c.members[i]]
 				if !ok || fv != qv {

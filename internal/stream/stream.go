@@ -24,13 +24,13 @@ package stream
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sync"
 
 	"ken/internal/cliques"
+	"ken/internal/core"
 	"ken/internal/model"
 	"ken/internal/obs"
 	"ken/internal/wire"
@@ -58,38 +58,9 @@ type Config struct {
 	HeartbeatEvery int
 }
 
-// endpoints share per-clique bookkeeping.
-type cliqueState struct {
-	members []int
-	mdl     model.Model
-	eps     []float64 // effective (ε − resolution/2)
-
-	// mw is mdl's allocation-free mean writer (nil when unsupported);
-	// local/meanBuf/obsScratch are per-clique step scratch, reused across
-	// frames. Sources and replicas never share a cliqueState, and both run
-	// their protocol loops serialized (the Replica under its mutex), so the
-	// scratch needs no locking of its own.
-	mw         model.MeanWriter
-	local      []float64
-	meanBuf    []float64
-	obsScratch map[int]float64
-}
-
-// build fits the per-clique models once and validates the config.
-func build(cfg Config) ([]cliqueState, float64, error) {
-	if cfg.Partition == nil {
-		return nil, 0, errors.New("stream: config needs a partition")
-	}
-	if len(cfg.Train) == 0 {
-		return nil, 0, errors.New("stream: config needs training data")
-	}
-	n := len(cfg.Train[0])
-	if len(cfg.Eps) != n {
-		return nil, 0, fmt.Errorf("stream: eps dim %d, training dim %d", len(cfg.Eps), n)
-	}
-	if err := cfg.Partition.Validate(n); err != nil {
-		return nil, 0, err
-	}
+// build validates the config and fits the given side of every clique's
+// replicated model once, on the effective bounds ε − resolution/2.
+func build(cfg Config, side core.Sides) ([]core.Clique, float64, error) {
 	res := cfg.Resolution
 	minEps := math.Inf(1)
 	for i, e := range cfg.Eps {
@@ -104,48 +75,22 @@ func build(cfg Config) ([]cliqueState, float64, error) {
 	if res/2 >= minEps {
 		return nil, 0, fmt.Errorf("stream: resolution %v too coarse for ε %v", res, minEps)
 	}
-	var states []cliqueState
-	for _, c := range cfg.Partition.Cliques {
-		cols := make([][]float64, len(cfg.Train))
-		for t, row := range cfg.Train {
-			r := make([]float64, len(c.Members))
-			for i, g := range c.Members {
-				r[i] = row[g]
-			}
-			cols[t] = r
-		}
-		mdl, err := model.FitLinearGaussian(cols, cfg.FitCfg)
-		if err != nil {
-			return nil, 0, fmt.Errorf("stream: fitting clique %v: %w", c.Members, err)
-		}
-		eps := make([]float64, len(c.Members))
-		for i, g := range c.Members {
-			eps[i] = cfg.Eps[g] - res/2
-		}
-		cl := mdl.Clone()
-		mw, _ := cl.(model.MeanWriter)
-		states = append(states, cliqueState{
-			members:    append([]int(nil), c.Members...),
-			mdl:        cl,
-			eps:        eps,
-			mw:         mw,
-			local:      make([]float64, len(c.Members)),
-			meanBuf:    make([]float64, len(c.Members)),
-			obsScratch: make(map[int]float64, len(c.Members)),
-		})
+	eff := make([]float64, len(cfg.Eps))
+	for g, e := range cfg.Eps {
+		eff[g] = e - res/2
 	}
-	return states, res, nil
+	cl, err := core.FitCliques(cfg.Partition, cfg.Train, eff, cfg.FitCfg, nil, side)
+	return cl, res, err
 }
 
 // Source is the sensor-network endpoint: it consumes ground-truth rows and
-// emits wire frames.
+// emits wire frames. It runs the source replica of every clique.
 type Source struct {
-	cl      []cliqueState
-	res     float64
-	n       int
-	step    uint64
-	hbEvery int
-	sinceHB int
+	cl   []core.Clique
+	res  float64
+	n    int
+	step uint64
+	hb   core.Heartbeat
 
 	// Observability handles (nil and no-op until Instrument is called).
 	tracer      *obs.Tracer
@@ -166,77 +111,48 @@ func (s *Source) Instrument(ob *obs.Observer) {
 
 // NewSource builds the source endpoint.
 func NewSource(cfg Config) (*Source, error) {
-	cl, res, err := build(cfg)
+	cl, res, err := build(cfg, core.SourceSide)
 	if err != nil {
 		return nil, err
 	}
-	return &Source{cl: cl, res: res, n: len(cfg.Eps), hbEvery: cfg.HeartbeatEvery}, nil
-}
-
-// quantize snaps v onto the wire grid.
-func quantize(v, res float64) float64 {
-	return math.Round(v/res) * res
+	return &Source{cl: cl, res: res, n: len(cfg.Eps), hb: core.NewHeartbeat(cfg.HeartbeatEvery)}, nil
 }
 
 // Collect advances one sampling step: runs the source protocol on the
 // fresh readings and returns the frame to transmit (possibly with zero
 // reports — the frame itself carries the step so the sink's clock stays
-// aligned even without data).
+// aligned even without data). The frame's attributes are ascending.
 func (s *Source) Collect(truth []float64) (wire.Frame, error) {
 	if len(truth) != s.n {
 		return wire.Frame{}, fmt.Errorf("stream: truth dim %d, want %d", len(truth), s.n)
 	}
 	sp := s.tracer.StartEpoch(obs.Event{Step: int64(s.step), Clique: -1, Node: -1, Detail: "stream"})
 	frame := wire.Frame{Step: s.step}
-	s.sinceHB++
-	heartbeat := s.hbEvery > 0 && s.sinceHB >= s.hbEvery
+	heartbeat := s.hb.Tick()
 	if heartbeat {
 		frame.Special = wire.KindHeartbeat
-		s.sinceHB = 0
 	}
 	for ci := range s.cl {
 		c := &s.cl[ci]
-		c.mdl.Step()
-		local := c.local
-		for i, g := range c.members {
-			local[i] = truth[g]
+		c.Gather(truth)
+		c.Step(false)
+		if err := c.Choose(heartbeat); err != nil {
+			return wire.Frame{}, err
 		}
-		var obs map[int]float64
-		if heartbeat {
-			obs = make(map[int]float64, len(local))
-			for i, v := range local {
-				obs[i] = v
-			}
-		} else {
-			// Fast path: a prediction already within every bound makes the
-			// greedy search return the empty set — skip it (and its
-			// allocations) outright. Suppressed steps then touch only the
-			// reused clique scratch.
-			if c.mw != nil && c.mw.MeanInto(c.meanBuf) == nil &&
-				model.WithinBounds(c.meanBuf, local, c.eps) {
-				continue
-			}
-			var err error
-			obs, err = model.ChooseReportGreedy(c.mdl, local, c.eps)
-			if err != nil {
-				return wire.Frame{}, err
-			}
-		}
-		if len(obs) == 0 {
+		if c.Sent.Len() == 0 {
 			continue
 		}
 		// Quantize, transmit, and condition on exactly what was sent.
-		quant := make(map[int]float64, len(obs))
-		for i, v := range obs {
-			qv := quantize(v, s.res)
-			quant[i] = qv
-			frame.Attrs = append(frame.Attrs, c.members[i])
-			frame.Values = append(frame.Values, qv)
-		}
-		if err := c.mdl.Condition(quant); err != nil {
+		c.Quantize(s.res)
+		if err := c.Condition(&c.Sent); err != nil {
 			return wire.Frame{}, err
 		}
+		for k, i := range c.Sent.Slots {
+			frame.Attrs = append(frame.Attrs, c.Members()[i])
+			frame.Values = append(frame.Values, c.Sent.Values[k])
+		}
 	}
+	sortByAttr(&frame)
 	s.mFrames.Inc()
 	s.mValues.Add(int64(len(frame.Attrs)))
 	if sp.Active() {
@@ -263,22 +179,34 @@ func (s *Source) Collect(truth []float64) (wire.Frame, error) {
 	return frame, nil
 }
 
+// sortByAttr orders a frame's attribute/value pairs by attribute. Each
+// clique contributes an ascending run, so the insertion sort does little
+// work.
+func sortByAttr(f *wire.Frame) {
+	for i := 1; i < len(f.Attrs); i++ {
+		for j := i; j > 0 && f.Attrs[j] < f.Attrs[j-1]; j-- {
+			f.Attrs[j], f.Attrs[j-1] = f.Attrs[j-1], f.Attrs[j]
+			f.Values[j], f.Values[j-1] = f.Values[j-1], f.Values[j]
+		}
+	}
+}
+
 // Resolution returns the negotiated wire resolution.
 func (s *Source) Resolution() float64 { return s.res }
 
 // Replica is the base-station endpoint: it applies frames and serves
-// estimates. Safe for concurrent Apply/Estimates.
+// estimates. It runs the sink replica of every clique. Safe for concurrent
+// Apply/Estimates.
 type Replica struct {
 	mu   sync.Mutex
-	cl   []cliqueState
+	cl   []core.Clique
+	at   []slotRef // attribute → its clique and slot, from the partition
 	res  float64
 	n    int
 	eps  []float64 // end-to-end per-attribute bounds (from the config)
 	next uint64    // expected next frame step
 	// Frames counts applied frames; Heartbeats counts heartbeat frames.
 	frames, heartbeats int
-	// byAttr is Apply's reused frame-index scratch, guarded by mu.
-	byAttr map[int]float64
 
 	// Observability handles (nil and no-op until Instrument is called).
 	tracer      *obs.Tracer
@@ -287,6 +215,9 @@ type Replica struct {
 	mHeartbeats *obs.Counter // stream_heartbeats_applied_total
 	gStep       *obs.Gauge   // stream_replica_step
 }
+
+// slotRef locates an attribute in the partition.
+type slotRef struct{ clique, slot int }
 
 // Instrument attaches metrics and sink-apply tracing to the sink endpoint.
 // A nil observer leaves it unobserved (the default).
@@ -303,13 +234,18 @@ func (r *Replica) Instrument(ob *obs.Observer) {
 
 // NewReplica builds the sink endpoint.
 func NewReplica(cfg Config) (*Replica, error) {
-	cl, res, err := build(cfg)
+	cl, res, err := build(cfg, core.SinkSide)
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{cl: cl, res: res, n: len(cfg.Eps),
-		eps:    append([]float64(nil), cfg.Eps...),
-		byAttr: make(map[int]float64, len(cfg.Eps))}, nil
+	at := make([]slotRef, len(cfg.Eps))
+	for ci := range cl {
+		for i, g := range cl[ci].Members() {
+			at[g] = slotRef{ci, i}
+		}
+	}
+	return &Replica{cl: cl, at: at, res: res, n: len(cfg.Eps),
+		eps: append([]float64(nil), cfg.Eps...)}, nil
 }
 
 // Resolution returns the negotiated wire resolution.
@@ -368,35 +304,29 @@ func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 	if f.Step != r.next {
 		return fmt.Errorf("stream: frame for step %d, expected %d", f.Step, r.next)
 	}
-	clear(r.byAttr)
-	for i, a := range f.Attrs {
+	for _, a := range f.Attrs {
 		if a < 0 || a >= r.n {
 			return fmt.Errorf("stream: frame attribute %d out of range %d", a, r.n)
 		}
-		r.byAttr[a] = f.Values[i]
+	}
+	for ci := range r.cl {
+		r.cl[ci].Got.Reset()
+	}
+	for k, a := range f.Attrs {
+		at := r.at[a]
+		r.cl[at.clique].Got.Add(at.slot, f.Values[k])
 	}
 	for ci := range r.cl {
 		c := &r.cl[ci]
-		c.mdl.Step()
-		clear(c.obsScratch)
-		if len(r.byAttr) > 0 {
-			for i, g := range c.members {
-				if v, ok := r.byAttr[g]; ok {
-					c.obsScratch[i] = v
-				}
-			}
-		}
-		if st != nil && len(c.obsScratch) > 0 && c.mw != nil && c.mw.MeanInto(c.meanBuf) == nil {
-			for i, g := range c.members {
-				v, ok := c.obsScratch[i]
-				if !ok {
-					continue
-				}
-				eps := r.eps[g]
+		c.Step(false)
+		if st != nil && c.Got.Len() > 0 {
+			mean := c.SinkMean()
+			for k, i := range c.Got.Slots {
+				eps := r.eps[c.Members()[i]]
 				if eps <= 0 {
 					continue
 				}
-				dev := math.Abs(c.meanBuf[i]-v) / eps
+				dev := math.Abs(mean[i]-c.Got.Values[k]) / eps
 				if dev > 1 {
 					st.Deviations++
 				}
@@ -405,7 +335,7 @@ func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 				}
 			}
 		}
-		if err := c.mdl.Condition(c.obsScratch); err != nil {
+		if err := c.Condition(&c.Got); err != nil {
 			return err
 		}
 	}
@@ -430,13 +360,14 @@ func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 func (r *Replica) Estimates() []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.estimates()
+}
+
+// estimates reads every clique's answer into a fresh vector; r.mu held.
+func (r *Replica) estimates() []float64 {
 	out := make([]float64, r.n)
 	for ci := range r.cl {
-		c := &r.cl[ci]
-		mean := c.mdl.Mean()
-		for i, g := range c.members {
-			out[g] = mean[i]
-		}
+		r.cl[ci].Answer(out)
 	}
 	return out
 }
@@ -461,17 +392,9 @@ type Answer struct {
 func (r *Replica) Answer() Answer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]float64, r.n)
-	for ci := range r.cl {
-		c := &r.cl[ci]
-		mean := c.mdl.Mean()
-		for i, g := range c.members {
-			out[g] = mean[i]
-		}
-	}
 	return Answer{
 		Step:       r.frames,
-		Estimates:  out,
+		Estimates:  r.estimates(),
 		Eps:        append([]float64(nil), r.eps...),
 		Heartbeats: r.heartbeats,
 	}
