@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint fmt-check test race alloc-check cover bench bench-smoke bench-baseline bench-compare audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
+.PHONY: all check build vet lint fmt-check test race alloc-check cover bench bench-smoke bench-baseline bench-compare audit-smoke faults-smoke sinkd-smoke perfbench-test figures examples fuzz clean
 
 all: build test
 
@@ -148,6 +148,13 @@ faults-smoke:
 	$(GO) run ./cmd/kennet -program ken -steps 200 -loss 0.2 -arq-retries 3 -heartbeat 10 -failure-alpha 0.01 -trace-out "$$tmp/arq.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/arq.jsonl" -strict -q && \
 	echo "faults-smoke: PASS (lossy + ARQ traces audit clean at 20% loss)"
+
+# perfbench-test builds, vets and self-tests the benchmark (perfbench/, a
+# module of its own, so `go build ./...` and `go test ./...` never compile
+# it): an API change that breaks the benchmark fails here, not only when
+# the benchmark next runs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # Regenerate every figure of the paper plus the extension/sweep tables.
 figures:

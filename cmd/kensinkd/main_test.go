@@ -63,8 +63,14 @@ func streamTenant(t *testing.T, addr, name string, p deploy.Params) {
 	if _, err := stream.Handshake(conn, wire.Hello{Tenant: name, Spec: p.EncodeSpec()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Pump(conn, dep.Test); err != nil {
-		t.Fatal(err)
+	for _, row := range dep.Test {
+		f, err := src.Collect(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stream.WriteFrame(conn, f, src.Resolution()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

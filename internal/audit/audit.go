@@ -49,7 +49,8 @@
 // # Streaming
 //
 // The auditor is a streaming state machine: Feed events one at a time
-// (or let Audit/AuditTrace drive it) and collect the Report from Finish.
+// (or let Audit drive it over a slice; kenaudit streams a JSONL trace
+// through obs.StreamEvents into Feed) and collect the Report from Finish.
 // Because every pipeline emits an epoch's events strictly between its
 // epoch_start and epoch_end, all per-epoch state — span links, report
 // causal tails, drop records — is finalized and evicted the moment the
@@ -60,7 +61,6 @@ package audit
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -237,20 +237,6 @@ func (a *Auditor) Audit(events []obs.Event) *Report {
 
 // Audit runs a zero-value Auditor over the events.
 func Audit(events []obs.Event) *Report { return (&Auditor{}).Audit(events) }
-
-// AuditTrace streams a JSONL trace (via obs.StreamEvents, so unknown
-// schema versions are rejected) through the auditor without holding the
-// events in memory.
-func AuditTrace(r io.Reader) (*Report, error) {
-	a := &Auditor{}
-	if err := obs.StreamEvents(r, func(e obs.Event) error {
-		a.Feed(e)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return a.Finish(), nil
-}
 
 type hists struct {
 	values, bytes, latency *obs.Histogram

@@ -430,11 +430,12 @@ func TestAuditScopeInterleavingInvariance(t *testing.T) {
 	}
 }
 
-// TestAuditTraceRejectsUnknownSchema keeps the version gate: a trace from
-// a future build must be rejected, not misread.
+// TestAuditTraceRejectsUnknownSchema keeps the version gate on the streamed
+// path kenaudit uses: a trace from a future build must be rejected, not
+// misread.
 func TestAuditTraceRejectsUnknownSchema(t *testing.T) {
 	in := strings.NewReader(`{"kind":"ken-trace","schema":99}` + "\n")
-	if _, err := AuditTrace(in); err == nil {
-		t.Fatal("AuditTrace accepted an unknown schema version")
+	if _, err := streamAudit(in); err == nil {
+		t.Fatal("streamed audit accepted an unknown schema version")
 	}
 }

@@ -4,12 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
 	"ken/internal/obs"
 	"ken/internal/simnet"
 )
+
+// streamAudit streams a JSONL trace through a fresh Auditor the way
+// kenaudit does: obs.StreamEvents (which rejects unknown schema versions)
+// feeding Auditor.Feed, without holding the events in memory.
+func streamAudit(r io.Reader) (*Report, error) {
+	var a Auditor
+	if err := obs.StreamEvents(r, func(e obs.Event) error {
+		a.Feed(e)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return a.Finish(), nil
+}
 
 // reportBytes renders a report the way kenaudit does (JSON + markdown),
 // so "byte-identical" covers everything a consumer can observe.
@@ -45,9 +60,9 @@ func encodeTrace(t *testing.T, events []obs.Event) []byte {
 }
 
 // TestStreamingMatchesBatchAudit: the three ways to drive the auditor —
-// Audit over a slice, Feed/Finish event by event, AuditTrace over the
-// encoded JSONL — must produce byte-identical reports, on clean, lossy
-// and tampered traces alike.
+// Audit over a slice, Feed/Finish event by event, and obs.StreamEvents
+// into Feed over the encoded JSONL — must produce byte-identical reports,
+// on clean, lossy and tampered traces alike.
 func TestStreamingMatchesBatchAudit(t *testing.T) {
 	n := 4
 	train, test, eps := labData(t, n, 200, 60)
@@ -91,12 +106,12 @@ func TestStreamingMatchesBatchAudit(t *testing.T) {
 				t.Fatal("Feed/Finish report differs from batch Audit report")
 			}
 
-			rep, err := AuditTrace(bytes.NewReader(encodeTrace(t, tc.events)))
+			rep, err := streamAudit(bytes.NewReader(encodeTrace(t, tc.events)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(batch, reportBytes(t, rep)) {
-				t.Fatal("AuditTrace report differs from batch Audit report")
+				t.Fatal("streamed trace report differs from batch Audit report")
 			}
 		})
 	}

@@ -29,10 +29,14 @@ func TestBenchTraceAuditsIdenticallyAtAnyWidth(t *testing.T) {
 		if err := ob.Trace.Flush(); err != nil {
 			t.Fatalf("flush: %v", err)
 		}
-		rep, err := audit.AuditTrace(&buf)
-		if err != nil {
+		var a audit.Auditor
+		if err := obs.StreamEvents(&buf, func(e obs.Event) error {
+			a.Feed(e)
+			return nil
+		}); err != nil {
 			t.Fatalf("audit (workers=%d): %v", workers, err)
 		}
+		rep := a.Finish()
 		if !rep.Clean() {
 			t.Fatalf("workers=%d: audit found violations: %v", workers, rep.Violations)
 		}

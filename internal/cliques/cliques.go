@@ -81,15 +81,6 @@ func (p *Partition) SinkCost() float64 {
 	return s
 }
 
-// ExpectedReported returns the summed expected reported values per step.
-func (p *Partition) ExpectedReported() float64 {
-	s := 0.0
-	for _, c := range p.Cliques {
-		s += c.M
-	}
-	return s
-}
-
 // MaxCliqueSize returns the size of the largest clique.
 func (p *Partition) MaxCliqueSize() int {
 	max := 0

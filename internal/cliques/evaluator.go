@@ -109,14 +109,6 @@ func (e *MCEvaluator) project(clique []int) ([][]float64, []float64, error) {
 	return cols, eps, nil
 }
 
-// CacheSize returns the number of cached clique estimates (for tests and
-// progress reporting).
-func (e *MCEvaluator) CacheSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
-}
-
 // FuncEvaluator adapts a plain function to the Evaluator interface —
 // convenient for oracle-based tests and ablations.
 type FuncEvaluator func(clique []int) (float64, error)

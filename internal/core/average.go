@@ -34,7 +34,6 @@ type Average struct {
 	aggCost float64
 	// prevAvg is the last disseminated average.
 	prevAvg float64
-	primed  bool
 }
 
 var _ Scheme = (*Average)(nil)
@@ -69,6 +68,20 @@ func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *n
 		}
 		a.aggCost = 2 * tree // one sweep up (aggregate), one down (disseminate)
 	}
+	var err error
+	if a.src, a.sink, a.prevAvg, err = FitAverage(train, fitCfg); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// FitAverage fits the Average model's per-node model over the pair
+// (X_i(t), X̄(t−1)) from training rows. It returns a source and a sink
+// replica of each node's model, and the last training average, which
+// primes the first test step. core.Average and simnet.DistributedAverage
+// both start from it.
+func FitAverage(train [][]float64, fitCfg model.FitConfig) (src, sink []model.Model, prevAvg float64, err error) {
+	n := len(train[0])
 	avg := make([]float64, len(train))
 	for t, row := range train {
 		s := 0.0
@@ -85,15 +98,12 @@ func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *n
 		}
 		mdl, err := model.FitLinearGaussian(cols, fitCfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: fitting average model for node %d: %w", i, err)
+			return nil, nil, 0, fmt.Errorf("core: fitting average model for node %d: %w", i, err)
 		}
-		a.src = append(a.src, mdl.Clone())
-		a.sink = append(a.sink, mdl.Clone())
+		src = append(src, mdl.Clone())
+		sink = append(sink, mdl.Clone())
 	}
-	// The last training average primes the first test step.
-	a.prevAvg = avg[len(avg)-1]
-	a.primed = true
-	return a, nil
+	return src, sink, avg[len(avg)-1], nil
 }
 
 // Name implements Scheme.
@@ -113,14 +123,12 @@ func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
 		a.src[i].Step()
 		a.sink[i].Step()
 		// Both replicas know the average disseminated last round.
-		if a.primed {
-			obs := map[int]float64{1: a.prevAvg}
-			if err := a.src[i].Condition(obs); err != nil {
-				return nil, StepStats{}, err
-			}
-			if err := a.sink[i].Condition(obs); err != nil {
-				return nil, StepStats{}, err
-			}
+		avg := map[int]float64{1: a.prevAvg}
+		if err := a.src[i].Condition(avg); err != nil {
+			return nil, StepStats{}, err
+		}
+		if err := a.sink[i].Condition(avg); err != nil {
+			return nil, StepStats{}, err
 		}
 		mean := a.src[i].Mean()
 		if d := mean[0] - truth[i]; d > a.eps[i] || d < -a.eps[i] {
@@ -148,6 +156,5 @@ func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
 		sum += v
 	}
 	a.prevAvg = sum / float64(a.n)
-	a.primed = true
 	return est, st, nil
 }

@@ -223,20 +223,3 @@ func Run(ctx context.Context, s Scheme, test [][]float64, opts RunOptions) (*Res
 	}
 	return res, nil
 }
-
-// ReportCounts returns how many times each attribute was reported over the
-// run. The paper observes that Ken "often has the opportunity to select and
-// report those few nodes which serve to strongly indicate the readings of
-// other nodes" (§5.3) — in multi-node cliques this shows up as a skewed
-// per-attribute report distribution.
-func (r *Result) ReportCounts() []int {
-	counts := make([]int, r.Dim)
-	for _, attrs := range r.ReportedAttrs {
-		for _, a := range attrs {
-			if a >= 0 && a < r.Dim {
-				counts[a]++
-			}
-		}
-	}
-	return counts
-}

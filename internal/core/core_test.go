@@ -502,7 +502,7 @@ func TestFailureDetector(t *testing.T) {
 	}
 	for i := 0; i < 9; i++ {
 		if d.Observe(false) {
-			t.Fatalf("suspected too early at silence %d", d.SilentSteps())
+			t.Fatalf("suspected too early at silence %d", d.silent)
 		}
 	}
 	if !d.Observe(false) {
@@ -511,7 +511,7 @@ func TestFailureDetector(t *testing.T) {
 	if d.Observe(true) {
 		t.Fatal("a report must clear suspicion")
 	}
-	if d.SilentSteps() != 0 {
+	if d.silent != 0 {
 		t.Fatal("report did not reset the silence run")
 	}
 	if _, err := NewFailureDetector(0, 0.01); err == nil {
@@ -706,7 +706,7 @@ func TestReportCountsSkewInCliques(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := res.ReportCounts()
+	counts := reportCounts(res)
 	total := 0
 	for _, c := range counts {
 		total += c

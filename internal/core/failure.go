@@ -83,9 +83,6 @@ func (d *FailureDetector) Suspect() bool {
 	return float64(d.silent)*math.Log1p(-d.rate) < math.Log(d.alpha)
 }
 
-// SilentSteps returns the length of the current silence run.
-func (d *FailureDetector) SilentSteps() int { return d.silent }
-
 // SilenceThreshold returns the smallest silence length that triggers
 // suspicion — useful for documentation and tests. Suspect uses a strict
 // inequality, so the threshold is the first integer strictly beyond the

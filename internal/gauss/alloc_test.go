@@ -27,7 +27,7 @@ func TestAllocBudgetGauss(t *testing.T) {
 		}
 		cov.Add(i, i, 2)
 	}
-	g := MustNew(mean, cov)
+	g := mustNew(mean, cov)
 	a := mat.NewDense(n, n)
 	q := mat.NewDense(n, n)
 	for i := 0; i < n; i++ {

@@ -1,6 +1,6 @@
 // Package gauss implements the multivariate Gaussian machinery at the heart
-// of Ken's dynamic probabilistic models (ICDE'06 §3.1): probability density
-// evaluation, marginalisation, conditioning on observed attribute subsets,
+// of Ken's dynamic probabilistic models (ICDE'06 §3.1): conditioning on
+// observed attribute subsets, prediction through a linear transition,
 // sampling, and parameter estimation from training traces.
 //
 // Conditioning is the operation Ken performs when the source transmits a
@@ -11,7 +11,6 @@ package gauss
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -53,16 +52,6 @@ func New(mean []float64, cov *mat.Dense) (*Gaussian, error) {
 	return &Gaussian{mean: m, cov: c}, nil
 }
 
-// MustNew is New panicking on error, for statically-correct literals in
-// tests and examples.
-func MustNew(mean []float64, cov *mat.Dense) *Gaussian {
-	g, err := New(mean, cov)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Dim returns the dimensionality n.
 func (g *Gaussian) Dim() int { return len(g.mean) }
 
@@ -83,52 +72,6 @@ func (g *Gaussian) Var(i int) float64 { return g.cov.At(i, i) }
 // Clone returns a deep copy.
 func (g *Gaussian) Clone() *Gaussian {
 	return &Gaussian{mean: g.Mean(), cov: g.cov.Clone()}
-}
-
-// LogPDF evaluates the log density at x.
-func (g *Gaussian) LogPDF(x []float64) (float64, error) {
-	n := g.Dim()
-	if len(x) != n {
-		return 0, fmt.Errorf("gauss: LogPDF input dim %d, want %d", len(x), n)
-	}
-	ch, err := mat.NewCholesky(g.cov)
-	if err != nil {
-		return 0, fmt.Errorf("gauss: covariance not PD: %w", err)
-	}
-	d := mat.SubVec(x, g.mean)
-	sol, err := ch.SolveVec(d)
-	if err != nil {
-		return 0, err
-	}
-	quad := mat.Dot(d, sol)
-	return -0.5 * (float64(n)*math.Log(2*math.Pi) + ch.LogDet() + quad), nil
-}
-
-// PDF evaluates the density at x.
-func (g *Gaussian) PDF(x []float64) (float64, error) {
-	lp, err := g.LogPDF(x)
-	if err != nil {
-		return 0, err
-	}
-	return math.Exp(lp), nil
-}
-
-// Marginal returns the marginal distribution of the variables at idx, in
-// that order. For Gaussians marginalisation is simply selection of the
-// corresponding mean entries and covariance block.
-func (g *Gaussian) Marginal(idx []int) (*Gaussian, error) {
-	if len(idx) == 0 {
-		return nil, ErrEmpty
-	}
-	for _, i := range idx {
-		if i < 0 || i >= g.Dim() {
-			return nil, fmt.Errorf("gauss: marginal index %d out of range %d", i, g.Dim())
-		}
-	}
-	return &Gaussian{
-		mean: mat.Select(g.mean, idx),
-		cov:  g.cov.Submatrix(idx, idx),
-	}, nil
 }
 
 // Condition returns the conditional distribution of the remaining variables
@@ -242,16 +185,6 @@ func (g *Gaussian) Sample(rng *rand.Rand) ([]float64, error) {
 	return mat.AddVec(g.mean, lz), nil
 }
 
-// Entropy returns the differential entropy in nats.
-func (g *Gaussian) Entropy() (float64, error) {
-	ch, err := mat.NewCholesky(g.cov)
-	if err != nil {
-		return 0, err
-	}
-	n := float64(g.Dim())
-	return 0.5*ch.LogDet() + 0.5*n*(1+math.Log(2*math.Pi)), nil
-}
-
 func identityIndex(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -272,114 +205,4 @@ func complementIndex(n int, sortedIdx []int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// KL returns the Kullback–Leibler divergence D(g‖other) in nats:
-//
-//	½ [ tr(Σ₂⁻¹Σ₁) + (μ₂−μ₁)ᵀΣ₂⁻¹(μ₂−μ₁) − n + ln(|Σ₂|/|Σ₁|) ]
-//
-// A drift monitor can compare a refit model's state against the deployed
-// one to decide whether re-synchronising parameters is worth the traffic.
-func (g *Gaussian) KL(other *Gaussian) (float64, error) {
-	n := g.Dim()
-	if other.Dim() != n {
-		return 0, fmt.Errorf("gauss: KL dims %d vs %d", n, other.Dim())
-	}
-	ch1, err := mat.NewCholesky(g.cov)
-	if err != nil {
-		return 0, fmt.Errorf("gauss: first covariance not PD: %w", err)
-	}
-	ch2, err := mat.NewCholesky(other.cov)
-	if err != nil {
-		return 0, fmt.Errorf("gauss: second covariance not PD: %w", err)
-	}
-	// tr(Σ₂⁻¹Σ₁) via solves.
-	solved, err := ch2.Solve(g.cov)
-	if err != nil {
-		return 0, err
-	}
-	tr := 0.0
-	for i := 0; i < n; i++ {
-		tr += solved.At(i, i)
-	}
-	d := mat.SubVec(other.mean, g.mean)
-	w, err := ch2.SolveVec(d)
-	if err != nil {
-		return 0, err
-	}
-	quad := mat.Dot(d, w)
-	return 0.5 * (tr + quad - float64(n) + ch2.LogDet() - ch1.LogDet()), nil
-}
-
-// ConditionNoisy is Condition for imperfect observations: each reported
-// value is modelled as the true attribute plus independent zero-mean
-// Gaussian noise with the given variance (ADC quantisation, sensor noise).
-// Exact conditioning is the special case of zero noise variances. Unlike
-// Condition, observed attributes retain posterior uncertainty, so the
-// full-dimensional posterior over all n variables is returned.
-//
-// This is the measurement update of a Kalman filter: with H selecting the
-// observed block and R the diagonal noise covariance,
-//
-//	K = Σ Hᵀ (H Σ Hᵀ + R)⁻¹,  μ ← μ + K(z − Hμ),  Σ ← Σ − K H Σ.
-func (g *Gaussian) ConditionNoisy(obs map[int]float64, noiseVar map[int]float64) (*Gaussian, error) {
-	n := g.Dim()
-	if len(obs) == 0 {
-		return g.Clone(), nil
-	}
-	obsIdx := make([]int, 0, len(obs))
-	for i := range obs {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("gauss: condition index %d out of range %d", i, n)
-		}
-		obsIdx = append(obsIdx, i)
-	}
-	sort.Ints(obsIdx)
-	for i, v := range noiseVar {
-		if _, ok := obs[i]; !ok {
-			return nil, fmt.Errorf("gauss: noise variance for unobserved attribute %d", i)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("gauss: negative noise variance %v for attribute %d", v, i)
-		}
-	}
-
-	all := identityIndex(n)
-	sigAll := g.cov.Submatrix(all, obsIdx) // Σ Hᵀ, n×m
-	sigBB := g.cov.Submatrix(obsIdx, obsIdx)
-	for k, i := range obsIdx {
-		sigBB.Add(k, k, noiseVar[i])
-	}
-	ch, err := mat.NewCholesky(sigBB)
-	if err != nil {
-		return nil, fmt.Errorf("gauss: innovation covariance not PD: %w", err)
-	}
-	delta := make([]float64, len(obsIdx))
-	for k, i := range obsIdx {
-		delta[k] = obs[i] - g.mean[i]
-	}
-	w, err := ch.SolveVec(delta)
-	if err != nil {
-		return nil, err
-	}
-	adj, err := sigAll.MulVec(w)
-	if err != nil {
-		return nil, err
-	}
-	mean := mat.AddVec(g.mean, adj)
-
-	solved, err := ch.Solve(sigAll.T()) // (HΣHᵀ+R)⁻¹ H Σ, m×n
-	if err != nil {
-		return nil, err
-	}
-	corr, err := sigAll.Mul(solved) // ΣHᵀ(HΣHᵀ+R)⁻¹HΣ, n×n
-	if err != nil {
-		return nil, err
-	}
-	cov, err := g.cov.SubMat(corr)
-	if err != nil {
-		return nil, err
-	}
-	cov.Symmetrize()
-	return New(mean, cov)
 }

@@ -9,14 +9,23 @@ import (
 	"ken/internal/mat"
 )
 
+// mustNew is New panicking on error, for statically-correct literals.
+func mustNew(mean []float64, cov *mat.Dense) *Gaussian {
+	g, err := New(mean, cov)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func std2D() *Gaussian {
-	return MustNew([]float64{0, 0}, mat.Identity(2))
+	return mustNew([]float64{0, 0}, mat.Identity(2))
 }
 
 // corr2D builds a 2-D Gaussian with unit variances and correlation rho.
 func corr2D(mu1, mu2, rho float64) *Gaussian {
 	cov := mat.NewDenseFrom([][]float64{{1, rho}, {rho, 1}})
-	return MustNew([]float64{mu1, mu2}, cov)
+	return mustNew([]float64{mu1, mu2}, cov)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -39,70 +48,6 @@ func TestMeanCovCopies(t *testing.T) {
 	c.Set(0, 0, 42)
 	if g.Cov().At(0, 0) != 1 {
 		t.Fatal("Cov returned a view")
-	}
-}
-
-func TestLogPDFStandardNormal(t *testing.T) {
-	g := MustNew([]float64{0}, mat.Identity(1))
-	lp, err := g.LogPDF([]float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := -0.5 * math.Log(2*math.Pi)
-	if math.Abs(lp-want) > 1e-12 {
-		t.Fatalf("LogPDF(0) = %v, want %v", lp, want)
-	}
-	p, err := g.PDF([]float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-1/math.Sqrt(2*math.Pi)) > 1e-12 {
-		t.Fatalf("PDF(0) = %v", p)
-	}
-}
-
-func TestLogPDFQuadraticTerm(t *testing.T) {
-	g := MustNew([]float64{3}, mat.Diag([]float64{4}))
-	lp, err := g.LogPDF([]float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// N(3, 4) at 5: -0.5(log 2π + log 4 + (2²)/4)
-	want := -0.5 * (math.Log(2*math.Pi) + math.Log(4) + 1)
-	if math.Abs(lp-want) > 1e-12 {
-		t.Fatalf("LogPDF = %v, want %v", lp, want)
-	}
-}
-
-func TestMarginal(t *testing.T) {
-	cov := mat.NewDenseFrom([][]float64{
-		{4, 1, 0},
-		{1, 9, 2},
-		{0, 2, 16},
-	})
-	g := MustNew([]float64{1, 2, 3}, cov)
-	m, err := g.Marginal([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dim() != 2 {
-		t.Fatalf("dim = %d, want 2", m.Dim())
-	}
-	if got := m.Mean(); got[0] != 3 || got[1] != 1 {
-		t.Fatalf("marginal mean = %v, want [3 1]", got)
-	}
-	if m.Var(0) != 16 || m.Var(1) != 4 || m.Cov().At(0, 1) != 0 {
-		t.Fatalf("marginal cov = %v", m.Cov())
-	}
-}
-
-func TestMarginalErrors(t *testing.T) {
-	g := std2D()
-	if _, err := g.Marginal(nil); err == nil {
-		t.Fatal("expected error for empty index set")
-	}
-	if _, err := g.Marginal([]int{5}); err == nil {
-		t.Fatal("expected error for out-of-range index")
 	}
 }
 
@@ -233,18 +178,6 @@ func TestSampleMoments(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	g := MustNew([]float64{0}, mat.Diag([]float64{1}))
-	h, err := g.Entropy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5 * math.Log(2*math.Pi*math.E)
-	if math.Abs(h-want) > 1e-12 {
-		t.Fatalf("Entropy = %v, want %v", h, want)
-	}
-}
-
 func TestEstimateMeanCov(t *testing.T) {
 	data := [][]float64{{1, 10}, {2, 20}, {3, 30}}
 	mean, err := EstimateMean(data)
@@ -294,32 +227,8 @@ func TestEstimateRidgeRescuesDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.LogPDF([]float64{0, 0}); err != nil {
+	if _, err := g.Sample(rng); err != nil {
 		t.Fatalf("ridge-regularised Gaussian unusable: %v", err)
-	}
-}
-
-func TestCrossCov(t *testing.T) {
-	// y = 2x ⇒ cross-cov = 2·var(x).
-	x := [][]float64{{1}, {2}, {3}}
-	y := [][]float64{{2}, {4}, {6}}
-	muX, _ := EstimateMean(x)
-	muY, _ := EstimateMean(y)
-	cc, err := CrossCov(x, y, muX, muY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cc.At(0, 0)-2) > 1e-12 {
-		t.Fatalf("cross-cov = %v, want 2", cc.At(0, 0))
-	}
-}
-
-func TestCrossCovErrors(t *testing.T) {
-	if _, err := CrossCov([][]float64{{1}}, [][]float64{{1}, {2}}, []float64{0}, []float64{0}); err == nil {
-		t.Fatal("expected error on mismatched sample counts")
-	}
-	if _, err := CrossCov([][]float64{{1}}, [][]float64{{1}}, []float64{0}, []float64{0}); err == nil {
-		t.Fatal("expected error on too few samples")
 	}
 }
 
@@ -407,7 +316,8 @@ func TestQuickMarginalConditionConsistency(t *testing.T) {
 			}
 		}
 		// Marginalise to {0, n-1}, then condition on X_{n-1}.
-		marg, err := g.Marginal([]int{0, n - 1})
+		idx := []int{0, n - 1}
+		marg, err := New(mat.Select(g.Mean(), idx), g.Cov().Submatrix(idx, idx))
 		if err != nil {
 			return false
 		}
@@ -445,112 +355,5 @@ func TestEstimateRecoversParameters(t *testing.T) {
 	}
 	if c := est.Cov(); math.Abs(c.At(0, 1)+0.6) > 0.08 {
 		t.Fatalf("estimated corr = %v", c.At(0, 1))
-	}
-}
-
-func TestKLProperties(t *testing.T) {
-	g1 := corr2D(0, 0, 0.5)
-	g2 := corr2D(1, -1, 0.2)
-	// Self-divergence is zero.
-	if d, err := g1.KL(g1); err != nil || math.Abs(d) > 1e-10 {
-		t.Fatalf("KL(g,g) = %v, %v", d, err)
-	}
-	// Non-negative and asymmetric in general.
-	d12, err := g1.KL(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d21, err := g2.KL(g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d12 <= 0 || d21 <= 0 {
-		t.Fatalf("KL must be positive for distinct Gaussians: %v, %v", d12, d21)
-	}
-	// Closed-form check for 1-D: D(N(0,1)‖N(m,1)) = m²/2.
-	a := MustNew([]float64{0}, mat.Diag([]float64{1}))
-	b := MustNew([]float64{2}, mat.Diag([]float64{1}))
-	d, err := a.KL(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-2) > 1e-10 {
-		t.Fatalf("KL = %v, want 2", d)
-	}
-	// Dimension mismatch.
-	if _, err := a.KL(g1); err == nil {
-		t.Fatal("expected dim error")
-	}
-}
-
-func TestConditionNoisyZeroNoiseMatchesExact(t *testing.T) {
-	g := corr2D(10, 20, 0.8)
-	noisy, err := g.ConditionNoisy(map[int]float64{1: 22}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, keep, err := g.Condition(map[int]float64{1: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keep[0] != 0 {
-		t.Fatal("unexpected keep")
-	}
-	if math.Abs(noisy.Mean()[0]-exact.Mean()[0]) > 1e-9 {
-		t.Fatalf("noiseless update mean %v vs exact %v", noisy.Mean()[0], exact.Mean()[0])
-	}
-	if math.Abs(noisy.Var(0)-exact.Var(0)) > 1e-9 {
-		t.Fatalf("noiseless update var %v vs exact %v", noisy.Var(0), exact.Var(0))
-	}
-	// The observed attribute collapses to the observation.
-	if math.Abs(noisy.Mean()[1]-22) > 1e-9 || noisy.Var(1) > 1e-9 {
-		t.Fatalf("observed attribute not collapsed: mean %v var %v", noisy.Mean()[1], noisy.Var(1))
-	}
-}
-
-func TestConditionNoisyLargeNoiseBarelyMoves(t *testing.T) {
-	g := corr2D(10, 20, 0.8)
-	noisy, err := g.ConditionNoisy(map[int]float64{1: 30}, map[int]float64{1: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(noisy.Mean()[1]-20) > 0.01 {
-		t.Fatalf("huge-noise observation moved the mean to %v", noisy.Mean()[1])
-	}
-	if noisy.Var(1) < 0.99 {
-		t.Fatalf("huge-noise observation removed variance: %v", noisy.Var(1))
-	}
-}
-
-func TestConditionNoisyInterpolates(t *testing.T) {
-	// Standard 1-D Kalman: prior N(0,1), observation 2 with R=1 → posterior
-	// mean 1, variance 0.5.
-	g := MustNew([]float64{0}, mat.Diag([]float64{1}))
-	post, err := g.ConditionNoisy(map[int]float64{0: 2}, map[int]float64{0: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(post.Mean()[0]-1) > 1e-10 {
-		t.Fatalf("posterior mean %v, want 1", post.Mean()[0])
-	}
-	if math.Abs(post.Var(0)-0.5) > 1e-10 {
-		t.Fatalf("posterior var %v, want 0.5", post.Var(0))
-	}
-}
-
-func TestConditionNoisyValidation(t *testing.T) {
-	g := std2D()
-	if _, err := g.ConditionNoisy(map[int]float64{9: 1}, nil); err == nil {
-		t.Fatal("expected error for out-of-range index")
-	}
-	if _, err := g.ConditionNoisy(map[int]float64{0: 1}, map[int]float64{1: 1}); err == nil {
-		t.Fatal("expected error for noise on unobserved attribute")
-	}
-	if _, err := g.ConditionNoisy(map[int]float64{0: 1}, map[int]float64{0: -1}); err == nil {
-		t.Fatal("expected error for negative noise variance")
-	}
-	same, err := g.ConditionNoisy(nil, nil)
-	if err != nil || !same.Cov().Equal(g.Cov(), 0) {
-		t.Fatal("empty observation should clone")
 	}
 }

@@ -27,7 +27,7 @@ func randomSPDGaussian(r *rand.Rand, n int) *Gaussian {
 	for i := range mu {
 		mu[i] = r.NormFloat64() * 5
 	}
-	return MustNew(mu, cov)
+	return mustNew(mu, cov)
 }
 
 // sortedSubset picks a random strictly-increasing index subset of size m.
@@ -184,7 +184,7 @@ func TestObserveExactRejectsNonFinite(t *testing.T) {
 	ws := NewWorkspace(4)
 	meanBefore := g.Mean()
 	covBefore := g.Cov()
-	genBefore := ws.Generation()
+	genBefore := ws.gen
 	cases := [][]float64{
 		{math.NaN(), 1},
 		{1, math.Inf(1)},
@@ -211,7 +211,7 @@ func TestObserveExactRejectsNonFinite(t *testing.T) {
 	if !g.Cov().Equal(covBefore, 0) {
 		t.Fatal("covariance mutated by rejected observation")
 	}
-	if ws.Generation() != genBefore {
+	if ws.gen != genBefore {
 		t.Fatal("generation bumped by rejected observation")
 	}
 }
@@ -221,29 +221,29 @@ func TestWorkspaceGeneration(t *testing.T) {
 	n := 3
 	g := randomSPDGaussian(rand.New(rand.NewSource(35)), n)
 	ws := NewWorkspace(n)
-	if ws.Generation() != 0 {
-		t.Fatalf("fresh generation = %d, want 0", ws.Generation())
+	if ws.gen != 0 {
+		t.Fatalf("fresh generation = %d, want 0", ws.gen)
 	}
 	a := mat.Identity(n)
 	q := mat.Identity(n)
 	if err := g.Predict(a, a.T(), q, ws); err != nil {
 		t.Fatal(err)
 	}
-	if ws.Generation() != 1 {
-		t.Fatalf("generation after Predict = %d, want 1", ws.Generation())
+	if ws.gen != 1 {
+		t.Fatalf("generation after Predict = %d, want 1", ws.gen)
 	}
 	if err := g.ObserveExact([]int{1}, []float64{2.5}, ws); err != nil {
 		t.Fatal(err)
 	}
-	if ws.Generation() != 2 {
-		t.Fatalf("generation after ObserveExact = %d, want 2", ws.Generation())
+	if ws.gen != 2 {
+		t.Fatalf("generation after ObserveExact = %d, want 2", ws.gen)
 	}
 	// Empty observation set: no mutation, no bump.
 	if err := g.ObserveExact(nil, nil, ws); err != nil {
 		t.Fatal(err)
 	}
-	if ws.Generation() != 2 {
-		t.Fatalf("generation after empty observation = %d, want 2", ws.Generation())
+	if ws.gen != 2 {
+		t.Fatalf("generation after empty observation = %d, want 2", ws.gen)
 	}
 	// Evaluator reads must not bump either.
 	if err := g.CondReset(ws); err != nil {
@@ -256,8 +256,8 @@ func TestWorkspaceGeneration(t *testing.T) {
 	if err := g.CondMeanInto(dst, ws); err != nil {
 		t.Fatal(err)
 	}
-	if ws.Generation() != 2 {
-		t.Fatalf("generation after evaluator reads = %d, want 2", ws.Generation())
+	if ws.gen != 2 {
+		t.Fatalf("generation after evaluator reads = %d, want 2", ws.gen)
 	}
 }
 

@@ -71,12 +71,6 @@ func NewWorkspace(n int) *Workspace {
 	}
 }
 
-// Generation returns the workspace's mutation counter. It increments on
-// every successful Predict or ObserveExact against this workspace, so any
-// cached artifact derived from the served Gaussian's state (conditioning
-// factorizations, query plans) can key on it for invalidation.
-func (ws *Workspace) Generation() uint64 { return ws.gen }
-
 // MeanInto copies the mean vector into dst without allocating.
 //
 //ken:hotpath copies into the caller's buffer

@@ -71,9 +71,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleRoot returns the directory holding go.mod.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
 // findModule walks up from dir to the nearest go.mod and parses the module
 // path out of it.
 func findModule(dir string) (root, path string, err error) {

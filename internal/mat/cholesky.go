@@ -135,19 +135,6 @@ func tryCholeskyInto(l, a *Dense, jitter float64) bool {
 // Size returns the dimension n.
 func (c *Cholesky) Size() int { return c.n }
 
-// Valid reports whether the workspace holds a usable factor (the last
-// Factorize/Update/Downdate/Extend succeeded).
-func (c *Cholesky) Valid() bool { return c.valid }
-
-// L returns a copy of the lower-triangular factor, or nil when the factor
-// is invalid (the last factorisation failed).
-func (c *Cholesky) L() *Dense {
-	if !c.valid {
-		return nil
-	}
-	return c.l.Clone()
-}
-
 // SolveVec solves A·x = b and returns x.
 func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 	if !c.valid {
@@ -231,18 +218,6 @@ func (c *Cholesky) backSolve(b []float64) {
 func (c *Cholesky) Inverse() (*Dense, error) {
 	return c.Solve(Identity(c.n))
 }
-
-// LogDet returns log|A| = 2·Σ log L_ii.
-func (c *Cholesky) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.data[i*c.n+i])
-	}
-	return 2 * s
-}
-
-// Det returns |A|.
-func (c *Cholesky) Det() float64 { return math.Exp(c.LogDet()) }
 
 // MulLVec returns L·v, used to transform standard normal samples into
 // samples with covariance A.

@@ -26,7 +26,7 @@ func TestQuickCholUpdateMatchesRefactorize(t *testing.T) {
 		if err := ch.Update(v); err != nil {
 			return false
 		}
-		l := ch.L()
+		l := factorL(ch)
 		got, _ := l.Mul(l.T())
 		want := a.Clone()
 		for i := 0; i < n; i++ {
@@ -57,14 +57,14 @@ func TestQuickCholUpdateDowndateRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		before := ch.L()
+		before := factorL(ch)
 		if err := ch.Update(v); err != nil {
 			return false
 		}
 		if err := ch.Downdate(v); err != nil {
 			return false
 		}
-		return ch.L().Equal(before, 1e-8*(1+before.MaxAbs()))
+		return factorL(ch).Equal(before, 1e-8*(1+before.MaxAbs()))
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -100,7 +100,7 @@ func TestQuickCholDowndateMatchesRefactorize(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return ch.L().Equal(want.L(), 1e-7*(1+b.MaxAbs()))
+		return factorL(ch).Equal(factorL(want), 1e-7*(1+b.MaxAbs()))
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -121,16 +121,16 @@ func TestCholDowndateDegenerateLeavesFactorIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ch.L()
+	before := factorL(ch)
 	// v = 3·e₀ drives the (0,0) entry of A − v·vᵀ to 4 − 9 < 0.
 	v := []float64{3, 0, 0}
 	if err := ch.Downdate(v); !errors.Is(err, ErrSingular) {
 		t.Fatalf("degenerate downdate err = %v, want ErrSingular", err)
 	}
-	if !ch.Valid() {
+	if !ch.valid {
 		t.Fatal("degenerate downdate invalidated the factor; pre-check should reject before mutation")
 	}
-	if !ch.L().Equal(before, 0) {
+	if !factorL(ch).Equal(before, 0) {
 		t.Fatal("degenerate downdate mutated the factor")
 	}
 	// The fallback path: refactorize whatever the caller holds still works.
@@ -163,7 +163,7 @@ func TestQuickCholExtendMatchesFactorize(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return ch.Size() == n && ch.L().Equal(want.L(), 1e-8*(1+a.MaxAbs()))
+		return ch.Size() == n && factorL(ch).Equal(factorL(want), 1e-8*(1+a.MaxAbs()))
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -177,15 +177,15 @@ func TestCholExtendRejectsBadPivotIntact(t *testing.T) {
 	if err := ch.Factorize(a); err != nil {
 		t.Fatal(err)
 	}
-	before := ch.L()
+	before := factorL(ch)
 	// Bordering with diag 0 and col (2, 0) gives pivot 0 − (2/√2)² < 0.
 	if err := ch.Extend([]float64{2, 0}, 0); !errors.Is(err, ErrSingular) {
 		t.Fatalf("extend err = %v, want ErrSingular", err)
 	}
-	if ch.Size() != 2 || !ch.Valid() {
-		t.Fatalf("rejected extend changed the factor: size %d valid %v", ch.Size(), ch.Valid())
+	if ch.Size() != 2 || !ch.valid {
+		t.Fatalf("rejected extend changed the factor: size %d valid %v", ch.Size(), ch.valid)
 	}
-	if !ch.L().Equal(before, 0) {
+	if !factorL(ch).Equal(before, 0) {
 		t.Fatal("rejected extend mutated the factor")
 	}
 	// Capacity guard: a workspace of order 3 cannot grow to 4.
@@ -212,10 +212,10 @@ func TestCholeskyFactorizeFailureInvalidates(t *testing.T) {
 	if err := ch.Factorize(bad); !errors.Is(err, ErrSingular) {
 		t.Fatalf("factorize indefinite err = %v, want ErrSingular", err)
 	}
-	if ch.Valid() {
+	if ch.valid {
 		t.Fatal("failed Factorize left the workspace valid")
 	}
-	if l := ch.L(); l != nil {
+	if l := factorL(ch); l != nil {
 		t.Fatal("L() returned a factor after failed Factorize")
 	}
 	if _, err := ch.SolveVec([]float64{1, 2}); !errors.Is(err, ErrSingular) {
@@ -243,7 +243,7 @@ func TestCholeskyFactorizeFailureInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ax, _ := good.MulVec(x)
-	if NormInf(SubVec(ax, []float64{1, 2})) > 1e-10 {
+	if normInf(SubVec(ax, []float64{1, 2})) > 1e-10 {
 		t.Fatal("solve after recovery inaccurate")
 	}
 }
@@ -251,7 +251,7 @@ func TestCholeskyFactorizeFailureInvalidates(t *testing.T) {
 // A fresh workspace has never factorized anything; it must refuse to solve.
 func TestCholeskyWorkspaceStartsInvalid(t *testing.T) {
 	ch := NewCholeskyWorkspace(3)
-	if ch.Valid() {
+	if ch.valid {
 		t.Fatal("fresh workspace reports valid")
 	}
 	if _, err := ch.SolveVec([]float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
@@ -293,7 +293,7 @@ func TestCholUpdateRejectsNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ch.L()
+	before := factorL(ch)
 	for _, v := range [][]float64{{math.NaN(), 0}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
 		if err := ch.Update(v); !errors.Is(err, ErrSingular) {
 			t.Fatalf("Update(%v) err = %v, want ErrSingular", v, err)
@@ -308,7 +308,7 @@ func TestCholUpdateRejectsNonFinite(t *testing.T) {
 	if err := ch.Downdate([]float64{1, 2, 3}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("long Downdate err = %v, want ErrDimension", err)
 	}
-	if !ch.L().Equal(before, 0) {
+	if !factorL(ch).Equal(before, 0) {
 		t.Fatal("rejected update mutated the factor")
 	}
 }

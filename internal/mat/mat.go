@@ -1,6 +1,6 @@
 // Package mat provides the dense linear algebra needed by Ken's
-// probabilistic models: vectors, matrices, Cholesky factorisation,
-// triangular and general solves, inversion and determinants.
+// probabilistic models: vectors, matrices, Cholesky factorisation with
+// rank-1 up/down-dates, triangular solves and inversion.
 //
 // The package is deliberately small and self-contained (stdlib only).
 // Matrices are row-major dense float64. Dimensions in Ken are tiny —
@@ -133,14 +133,6 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// SetRow copies v into row i.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d, want %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	out := NewDense(m.cols, m.rows)
@@ -150,27 +142,6 @@ func (m *Dense) T() *Dense {
 		}
 	}
 	return out
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Dense) Scale(s float64) *Dense {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
-// AddMat returns m + b as a new matrix.
-func (m *Dense) AddMat(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: add %dx%d with %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
 }
 
 // SubMat returns m - b as a new matrix.

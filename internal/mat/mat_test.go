@@ -100,14 +100,6 @@ func TestRowColCopies(t *testing.T) {
 	}
 }
 
-func TestSetRow(t *testing.T) {
-	m := NewDense(2, 3)
-	m.SetRow(1, []float64{7, 8, 9})
-	if m.At(1, 2) != 9 {
-		t.Fatalf("At(1,2) = %v, want 9", m.At(1, 2))
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	m := NewDenseFrom([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.T()
@@ -154,22 +146,15 @@ func TestMulVec(t *testing.T) {
 func TestAddSubScale(t *testing.T) {
 	a := NewDenseFrom([][]float64{{1, 2}, {3, 4}})
 	b := Identity(2)
-	sum, err := a.AddMat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(0, 0) != 2 || sum.At(1, 1) != 5 {
-		t.Fatalf("sum = %v", sum)
-	}
+	sum := a.Clone()
+	sum.Add(0, 0, 1)
+	sum.Add(1, 1, 1)
 	diff, err := sum.SubMat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !diff.Equal(a, 1e-12) {
 		t.Fatalf("(a+I)-I = %v, want %v", diff, a)
-	}
-	if s := a.Scale(2); s.At(1, 1) != 8 {
-		t.Fatalf("scale = %v", s)
 	}
 }
 
@@ -212,6 +197,26 @@ func randomSPD(rng *rand.Rand, n int) *Dense {
 	return spd
 }
 
+// factorL returns a copy of the lower-triangular factor, or nil when the
+// factor is invalid (the last factorisation failed).
+func factorL(c *Cholesky) *Dense {
+	if !c.valid {
+		return nil
+	}
+	return c.l.Clone()
+}
+
+// normInf returns the max-absolute-value norm of a.
+func normInf(a []float64) float64 {
+	max := 0.0
+	for _, ai := range a {
+		if v := math.Abs(ai); v > max {
+			max = v
+		}
+	}
+	return max
+}
+
 func TestCholeskyReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 3, 5, 8, 13} {
@@ -220,7 +225,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		l := ch.L()
+		l := factorL(ch)
 		llt, _ := l.Mul(l.T())
 		if !llt.Equal(a, 1e-8) {
 			t.Fatalf("n=%d: L·Lᵀ ≠ A (max diff matters)", n)
@@ -268,21 +273,6 @@ func TestCholeskyInverse(t *testing.T) {
 	}
 }
 
-func TestCholeskyLogDet(t *testing.T) {
-	a := Diag([]float64{2, 3, 4})
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log(24)
-	if got := ch.LogDet(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("LogDet = %v, want %v", got, want)
-	}
-	if got := ch.Det(); math.Abs(got-24) > 1e-9 {
-		t.Fatalf("Det = %v, want 24", got)
-	}
-}
-
 func TestCholeskyNotPD(t *testing.T) {
 	a := NewDenseFrom([][]float64{{1, 0}, {0, -5}})
 	if _, err := NewCholesky(a); err == nil {
@@ -313,80 +303,14 @@ func TestCholeskyMulLVec(t *testing.T) {
 	}
 }
 
-func TestLUSolveAndDet(t *testing.T) {
-	a := NewDenseFrom([][]float64{{0, 2, 1}, {1, -2, -3}, {-1, 1, 2}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	b, _ := a.MulVec(want)
-	got, err := lu.SolveVec(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("solve = %v, want %v", got, want)
-		}
-	}
-	// det([[0,2,1],[1,-2,-3],[-1,1,2]]) = 1 (cofactor expansion along row 0).
-	if d := lu.Det(); math.Abs(d-1) > 1e-9 {
-		t.Fatalf("Det = %v, want 1", d)
-	}
-}
-
-func TestLUInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 6
-	a := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, rng.NormFloat64())
-		}
-		a.Add(i, i, float64(n)) // diagonally dominant, well conditioned
-	}
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv, err := lu.Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, _ := a.Mul(inv)
-	if !prod.Equal(Identity(n), 1e-8) {
-		t.Fatal("A·A⁻¹ ≠ I")
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := NewDenseFrom([][]float64{{1, 2}, {2, 4}})
-	if _, err := NewLU(a); err == nil {
-		t.Fatal("expected singular error")
-	}
-}
-
 func TestVecHelpers(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Fatalf("Dot = %v, want 32", Dot(a, b))
-	}
 	if s := AddVec(a, b); s[2] != 9 {
 		t.Fatalf("AddVec = %v", s)
 	}
 	if d := SubVec(b, a); d[0] != 3 {
 		t.Fatalf("SubVec = %v", d)
-	}
-	if s := ScaleVec(2, a); s[1] != 4 {
-		t.Fatalf("ScaleVec = %v", s)
-	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
-		t.Fatal("Norm2(3,4) != 5")
-	}
-	if NormInf([]float64{-7, 2}) != 7 {
-		t.Fatal("NormInf != 7")
 	}
 	if Mean(a) != 2 {
 		t.Fatal("Mean != 2")
@@ -396,10 +320,6 @@ func TestVecHelpers(t *testing.T) {
 	}
 	if got := Select(b, []int{2, 0}); got[0] != 6 || got[1] != 4 {
 		t.Fatalf("Select = %v", got)
-	}
-	o := Outer([]float64{1, 2}, []float64{3, 4})
-	if o.At(1, 0) != 6 {
-		t.Fatalf("Outer = %v", o)
 	}
 }
 
@@ -432,7 +352,7 @@ func TestQuickCholeskySolveResidual(t *testing.T) {
 			return false
 		}
 		ax, _ := a.MulVec(x)
-		return NormInf(SubVec(ax, b)) < 1e-6*(1+NormInf(b))
+		return normInf(SubVec(ax, b)) < 1e-6*(1+normInf(b))
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -464,40 +384,6 @@ func TestQuickTransposeProduct(t *testing.T) {
 		ab, _ := a.Mul(b)
 		btat, _ := b.T().Mul(a.T())
 		return ab.T().Equal(btat, 1e-10)
-	}
-	cfg := &quick.Config{MaxCount: 50, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: LU solve residual is small for diagonally dominant matrices.
-func TestQuickLUSolveResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		a := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, r.NormFloat64())
-			}
-			a.Add(i, i, float64(2*n))
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = r.NormFloat64() * 5
-		}
-		lu, err := NewLU(a)
-		if err != nil {
-			return false
-		}
-		x, err := lu.SolveVec(b)
-		if err != nil {
-			return false
-		}
-		ax, _ := a.MulVec(x)
-		return NormInf(SubVec(ax, b)) < 1e-7*(1+NormInf(b))
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {

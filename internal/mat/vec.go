@@ -2,22 +2,7 @@ package mat
 
 import (
 	"fmt"
-	"math"
 )
-
-// Dot returns the inner product of a and b. It panics on length mismatch,
-// matching the convention of builtin copy-style helpers used pervasively in
-// hot paths where lengths are established by construction.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Dot len %d vs %d", len(a), len(b)))
-	}
-	s := 0.0
-	for i, ai := range a {
-		s += ai * b[i]
-	}
-	return s
-}
 
 // AddVec returns a + b as a new vector.
 func AddVec(a, b []float64) []float64 {
@@ -41,35 +26,6 @@ func SubVec(a, b []float64) []float64 {
 		out[i] = a[i] - b[i]
 	}
 	return out
-}
-
-// ScaleVec returns s·a as a new vector.
-func ScaleVec(s float64, a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, ai := range a {
-		out[i] = s * ai
-	}
-	return out
-}
-
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a []float64) float64 {
-	s := 0.0
-	for _, ai := range a {
-		s += ai * ai
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the max-absolute-value norm of a.
-func NormInf(a []float64) float64 {
-	max := 0.0
-	for _, ai := range a {
-		if v := math.Abs(ai); v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // Mean returns the arithmetic mean of a, or 0 for an empty slice.
@@ -103,17 +59,6 @@ func Select(a []float64, idx []int) []float64 {
 	out := make([]float64, len(idx))
 	for k, i := range idx {
 		out[k] = a[i]
-	}
-	return out
-}
-
-// Outer returns the outer product a·bᵀ.
-func Outer(a, b []float64) *Dense {
-	out := NewDense(len(a), len(b))
-	for i, ai := range a {
-		for j, bj := range b {
-			out.data[i*out.cols+j] = ai * bj
-		}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"math"
 	"testing"
 
 	"ken/internal/model"
@@ -133,50 +132,5 @@ func TestCorrelatedCliqueBeatsIndependent(t *testing.T) {
 	}
 	if mJoint >= 2*mSingle {
 		t.Fatalf("joint model (%v) no better than 2 independents (2×%v)", mJoint, mSingle)
-	}
-}
-
-func TestExpectedStepsToMiss(t *testing.T) {
-	c := noisyConstant(t, 1)
-	cfg := Config{Trajectories: 32, Horizon: 100, Seed: 11}
-	steps, err := ExpectedStepsToMiss(c, 0.5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A unit-SD random walk against ε = 0.5 misses almost immediately.
-	if steps < 1 || steps > 3 {
-		t.Fatalf("steps to miss = %v, want ~1-2", steps)
-	}
-	stepsLoose, err := ExpectedStepsToMiss(c, 5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stepsLoose <= steps {
-		t.Fatalf("looser bound should survive longer: %v vs %v", stepsLoose, steps)
-	}
-	// Paper's identity: reduction factor ≈ 1/E[steps to miss].
-	m, err := ExpectedReports(c, []float64{0.5}, Config{Trajectories: 32, Horizon: 100, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv := 1 / steps; math.Abs(m-inv) > 0.25 {
-		t.Fatalf("m=%v vs 1/E[steps]=%v disagree badly", m, inv)
-	}
-}
-
-func TestExpectedStepsToMissValidation(t *testing.T) {
-	if _, err := ExpectedStepsToMiss(nil, 1, Config{}); err == nil {
-		t.Fatal("expected error for nil model")
-	}
-	two, err := model.NewConstant([]float64{0, 0}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExpectedStepsToMiss(two, 1, Config{}); err == nil {
-		t.Fatal("expected error for multi-attribute model")
-	}
-	c := noisyConstant(t, 1)
-	if _, err := ExpectedStepsToMiss(c, 0, Config{}); err == nil {
-		t.Fatal("expected error for zero epsilon")
 	}
 }

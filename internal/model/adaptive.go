@@ -148,8 +148,3 @@ func (a *Adaptive) Clone() Model {
 	}
 	return cp
 }
-
-// Refits is a diagnostic: how many successful refits have run. Exposed via
-// history length bookkeeping would be ambiguous, so track per call site in
-// tests through behaviour instead; this counter serves logging.
-func (a *Adaptive) Inner() *LinearGaussian { return a.inner }

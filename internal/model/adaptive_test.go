@@ -176,7 +176,7 @@ func TestAdaptiveRefitKeepsPhase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := m.Inner().Clock(), 99+200; got != want {
+	if got, want := m.inner.Clock(), 99+200; got != want {
 		t.Fatalf("clock = %d, want %d", got, want)
 	}
 }

@@ -56,15 +56,11 @@ type FitConfig struct {
 	// The seasonal profile is only used when the training data covers at
 	// least two full cycles.
 	Period int
-	// Ridge is the relative ridge regularisation for the VAR solve and the
-	// innovation covariance. Defaults to 1e-6 when zero.
-	Ridge float64
-	// DiagonalA restricts the transition matrix to a diagonal (independent
-	// AR(1) per attribute). Spatial correlation then only enters through
-	// the innovation covariance Q. This is the paper's implicit structure
-	// for small cliques and an ablation point for larger ones.
-	DiagonalA bool
 }
+
+// fitRidge is the relative ridge regularisation for the VAR solve and the
+// innovation covariance.
+const fitRidge = 1e-6
 
 // FitLinearGaussian learns a LinearGaussian from training rows
 // (data[t][i] = attribute i at step t). The returned model's clock is at
@@ -84,11 +80,6 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 			return nil, fmt.Errorf("%w: row %d has %d attributes, want %d", ErrDim, t, len(row), n)
 		}
 	}
-	ridge := cfg.Ridge
-	if ridge <= 0 {
-		ridge = 1e-6
-	}
-
 	profile, period := seasonalProfile(data, cfg.Period)
 
 	// Residuals around the seasonal profile.
@@ -102,7 +93,7 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 		res[t] = r
 	}
 
-	a, err := fitVAR(res, ridge, cfg.DiagonalA)
+	a, err := fitVAR(res)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +111,7 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 	if err != nil {
 		return nil, err
 	}
-	q, err := gauss.EstimateCov(errs, mu, ridge)
+	q, err := gauss.EstimateCov(errs, mu, fitRidge)
 	if err != nil {
 		return nil, err
 	}
@@ -183,26 +174,9 @@ func seasonalProfile(data [][]float64, period int) ([][]float64, int) {
 
 // fitVAR solves the ridge least-squares problem R1 ≈ R0·Aᵀ for the
 // transition matrix A over residual rows.
-func fitVAR(res [][]float64, ridge float64, diagonal bool) (*mat.Dense, error) {
+func fitVAR(res [][]float64) (*mat.Dense, error) {
 	T := len(res) - 1
 	n := len(res[0])
-	if diagonal {
-		a := mat.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			var sxx, sxy float64
-			for t := 0; t < T; t++ {
-				sxx += res[t][i] * res[t][i]
-				sxy += res[t][i] * res[t+1][i]
-			}
-			den := sxx + ridge*(1+sxx/float64(T))
-			if den == 0 {
-				a.Set(i, i, 0)
-			} else {
-				a.Set(i, i, sxy/den)
-			}
-		}
-		return a, nil
-	}
 	// Normal equations: (R0ᵀR0 + λI)·Aᵀ = R0ᵀR1.
 	xtx := mat.NewDense(n, n)
 	xty := mat.NewDense(n, n)
@@ -218,7 +192,7 @@ func fitVAR(res [][]float64, ridge float64, diagonal bool) (*mat.Dense, error) {
 			}
 		}
 	}
-	lambda := ridge * (traceOf(xtx)/float64(n) + 1)
+	lambda := fitRidge * (traceOf(xtx)/float64(n) + 1)
 	for i := 0; i < n; i++ {
 		xtx.Add(i, i, lambda)
 	}
@@ -313,12 +287,6 @@ func (lg *LinearGaussian) MeanGiven(obs map[int]float64) ([]float64, error) {
 	}
 	return mat.AddVec(cm, lg.phaseMean()), nil
 }
-
-// Generation returns the model's state mutation counter (bumped by Step
-// and Condition). Cached artifacts derived from the belief state — the
-// incremental conditioning factorization below, sink-side query plans —
-// key on it for invalidation.
-func (lg *LinearGaussian) Generation() uint64 { return lg.ws.Generation() }
 
 // CondReset implements IncrementalConditioner: begin a new hypothetical
 // observed set against the current belief state, rebinding the workspace's

@@ -468,22 +468,6 @@ func TestChooseReportValidation(t *testing.T) {
 	}
 }
 
-func TestDiagonalAFit(t *testing.T) {
-	data := garden2Cols(t, 150)
-	lg, err := FitLinearGaussian(data[:120], FitConfig{Period: 24, DiagonalA: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Off-diagonal transition entries must be exactly zero.
-	if lg.a.At(0, 1) != 0 || lg.a.At(1, 0) != 0 {
-		t.Fatalf("diagonal fit has off-diagonal entries: %v", lg.a)
-	}
-	// Diagonal entries should be a plausible AR coefficient.
-	if a := lg.a.At(0, 0); a < 0 || a > 1.2 {
-		t.Fatalf("AR coefficient = %v", a)
-	}
-}
-
 func TestChooseReportGreedyPartial(t *testing.T) {
 	c, _ := NewConstant([]float64{0, 0, 0}, []float64{0, 0, 0})
 	eps := []float64{0.5, 0.5, 0.5}

@@ -39,9 +39,10 @@ type SwitchingConfig struct {
 	Base FitConfig
 	// Regimes is the number of hidden regimes (default 2).
 	Regimes int
-	// Iterations bounds the k-means regime-labelling loop (default 20).
-	Iterations int
 }
+
+// kmeansIterations bounds the k-means regime-labelling loop.
+const kmeansIterations = 20
 
 // FitSwitching learns a switching model: a first-pass LinearGaussian
 // residual is clustered (1-D k-means over the per-step mean residual
@@ -50,9 +51,6 @@ type SwitchingConfig struct {
 func FitSwitching(data [][]float64, cfg SwitchingConfig) (*Switching, error) {
 	if cfg.Regimes <= 0 {
 		cfg.Regimes = 2
-	}
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 20
 	}
 	if cfg.Regimes == 1 {
 		return nil, fmt.Errorf("model: switching model needs >= 2 regimes")
@@ -79,7 +77,7 @@ func FitSwitching(data [][]float64, cfg SwitchingConfig) (*Switching, error) {
 		level[t] = s / float64(n)
 	}
 
-	labels, centers := kmeans1D(level, cfg.Regimes, cfg.Iterations)
+	labels, centers := kmeans1D(level, cfg.Regimes, kmeansIterations)
 
 	// Per-regime, per-attribute offsets around the seasonal profile.
 	offsets := make([][]float64, cfg.Regimes)
@@ -239,11 +237,6 @@ func (s *Switching) Dim() int { return s.base.Dim() }
 
 // Regimes returns the number of hidden regimes.
 func (s *Switching) Regimes() int { return len(s.offsets) }
-
-// RegimeProbs returns a copy of the current regime posterior.
-func (s *Switching) RegimeProbs() []float64 {
-	return append([]float64(nil), s.probs...)
-}
 
 // Step implements Model: advance the base and push the posterior through
 // the transition matrix.

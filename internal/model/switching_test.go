@@ -74,7 +74,7 @@ func TestSwitchingPosteriorTracksRegime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p := m.RegimeProbs(); p[lowRegime] < 0.7 {
+	if p := m.probs; p[lowRegime] < 0.7 {
 		t.Fatalf("posterior did not track the regime: %v", p)
 	}
 }

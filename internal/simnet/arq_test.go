@@ -20,13 +20,13 @@ func TestSendToDeadDestinationBurnsTxEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.spend(1, net.Energy(1)+1)
+	net.spend(1, net.energy[1]+1)
 	if net.Alive(1) {
 		t.Fatal("node 1 should be dead")
 	}
-	e0 := net.Energy(0)
+	e0 := net.energy[0]
 	msg := Message{From: 0, To: 1, Attrs: []int{0}, Values: []float64{1}}
-	if net.Send(msg) {
+	if net.SendSpan(msg, nil) {
 		t.Fatal("delivery to a dead destination should fail")
 	}
 	st := net.Stats()
@@ -34,7 +34,7 @@ func TestSendToDeadDestinationBurnsTxEnergy(t *testing.T) {
 		t.Fatalf("MessagesSent = %d, want 1 (the sender must transmit)", st.MessagesSent)
 	}
 	wantTx := radio.TxPerByte * float64(msg.bytes(radio.OverheadBytes))
-	if spent := e0 - net.Energy(0); math.Abs(spent-wantTx) > 1e-12 {
+	if spent := e0 - net.energy[0]; math.Abs(spent-wantTx) > 1e-12 {
 		t.Fatalf("sender spent %v J, want Tx cost %v", spent, wantTx)
 	}
 	if st.DroppedNoPath != 1 {
@@ -88,8 +88,8 @@ func TestDeadRootMembersStillTransmit(t *testing.T) {
 	}
 	// Kill node 0, the root of clique {0,1}; its member 1 sits at the far
 	// end of the chain, so no other clique's traffic relays through it.
-	net.spend(0, net.Energy(0)+1)
-	e0 := net.Energy(1)
+	net.spend(0, net.energy[0]+1)
+	e0 := net.energy[1]
 	epochs := 150
 	for _, row := range test[:epochs] {
 		if _, err := prog.Epoch(row); err != nil {
@@ -97,7 +97,7 @@ func TestDeadRootMembersStillTransmit(t *testing.T) {
 		}
 	}
 	idleOnly := float64(epochs) * radio.IdlePerEpoch
-	if spent := e0 - net.Energy(1); spent <= idleOnly+1e-12 {
+	if spent := e0 - net.energy[1]; spent <= idleOnly+1e-12 {
 		t.Fatalf("member spent %v J ≈ idle-only %v: it stopped transmitting to its dead root", spent, idleOnly)
 	}
 	if net.Stats().DroppedNoPath == 0 {
@@ -129,7 +129,7 @@ func TestSendReliableDeliversThroughLoss(t *testing.T) {
 	plainNet.BeginEpoch()
 	plain := 0
 	for i := 0; i < sends; i++ {
-		if plainNet.Send(msg) {
+		if plainNet.SendSpan(msg, nil) {
 			plain++
 		}
 	}
@@ -199,7 +199,7 @@ func TestSendReliableNoARQIsFireAndForget(t *testing.T) {
 	b.BeginEpoch()
 	msg := Message{From: 0, To: 2, Attrs: []int{0}, Values: []float64{1}}
 	for i := 0; i < 100; i++ {
-		if a.Send(msg) != b.SendReliable(msg, nil) {
+		if a.SendSpan(msg, nil) != b.SendReliable(msg, nil) {
 			t.Fatalf("send %d: outcomes diverged with ARQ off", i)
 		}
 	}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 
+	"ken/internal/core"
 	"ken/internal/model"
 	"ken/internal/obs"
 )
@@ -31,7 +32,6 @@ type DistributedAverage struct {
 	// prevAvg is the base's last computed average; per-node lastAvg is what
 	// each node most recently received (stale for orphans).
 	prevAvg float64
-	primed  bool
 	lastAvg []float64
 }
 
@@ -69,32 +69,12 @@ func NewDistributedAverage(net *Network, train [][]float64, eps []float64, fitCf
 	}
 	d.order = postOrder(d.children, net.top.Base())
 
-	// Training averages (lagged pairing, as in core.Average).
-	avg := make([]float64, len(train))
-	for t, row := range train {
-		s := 0.0
-		for _, v := range row {
-			s += v
-		}
-		avg[t] = s / float64(n)
+	if d.src, d.sink, d.prevAvg, err = core.FitAverage(train, fitCfg); err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		cols := make([][]float64, 0, len(train)-1)
-		for t := 1; t < len(train); t++ {
-			cols = append(cols, []float64{train[t][i], avg[t-1]})
-		}
-		mdl, err := model.FitLinearGaussian(cols, fitCfg)
-		if err != nil {
-			return nil, fmt.Errorf("simnet: fitting average model for node %d: %w", i, err)
-		}
-		d.src = append(d.src, mdl.Clone())
-		d.sink = append(d.sink, mdl.Clone())
-	}
-	d.prevAvg = avg[len(avg)-1]
 	for i := range d.lastAvg {
 		d.lastAvg[i] = d.prevAvg
 	}
-	d.primed = true
 	return d, nil
 }
 

@@ -52,7 +52,7 @@ type Radio struct {
 // ARQConfig parameterises stop-and-wait ARQ: after a SendReliable the
 // destination routes a small ack back (full per-hop energy both ways);
 // on silence the sender backs off and retransmits. MaxRetries == 0
-// disables ARQ entirely, making SendReliable identical to Send.
+// disables ARQ entirely, making SendReliable identical to SendSpan.
 type ARQConfig struct {
 	// MaxRetries bounds retransmissions per message (0 = ARQ off).
 	MaxRetries int
@@ -208,9 +208,6 @@ func (s *Network) AliveCount() int {
 	return c
 }
 
-// Energy returns node i's remaining battery in Joules.
-func (s *Network) Energy(i int) float64 { return s.energy[i] }
-
 // Stats returns a copy of the accumulated accounting.
 func (s *Network) Stats() Stats { return s.stats }
 
@@ -241,10 +238,6 @@ func (s *Network) BeginEpoch() *obs.Span {
 	})
 	return s.span
 }
-
-// EpochSpan returns the current epoch's span (nil when untraced or before
-// the first BeginEpoch).
-func (s *Network) EpochSpan() *obs.Span { return s.span }
 
 // EpochLinkBytes returns the link-level bytes transmitted so far in the
 // current epoch — the radio ledger (every hop of every message, acks
@@ -290,18 +283,14 @@ func (s *Network) liveVertex(v int) bool {
 	return s.alive[v]
 }
 
-// Send routes the message hop-by-hop along live neighbours that make
+// SendSpan routes the message hop-by-hop along live neighbours that make
 // progress toward the destination, charging energy per hop. It returns
 // true when the message reaches its destination. A dead source, a lossy
-// hop, or a partitioned network yields false.
-func (s *Network) Send(msg Message) bool { return s.SendSpan(msg, nil) }
-
-// SendSpan routes like Send, additionally tracing every link-level
+// hop, or a partitioned network yields false. It traces every link-level
 // transmission (EvHop, with from/to/bytes in the payload) and any message
 // death (EvDrop, Detail "loss", "noroute" or "dead") through a message
 // span parented to cause — typically the report span whose traffic this
-// is. A nil cause falls back to the current epoch span; with no tracer
-// attached SendSpan is exactly Send.
+// is. A nil cause falls back to the current epoch span.
 func (s *Network) SendSpan(msg Message, cause *obs.Span) bool {
 	return s.route(msg, msg.bytes(s.radio.OverheadBytes), cause, false)
 }

@@ -53,7 +53,7 @@ func TestSendDeliversAndCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := Message{From: 0, To: top.Base(), Attrs: []int{0}, Values: []float64{20}}
-	if !net.Send(msg) {
+	if !net.SendSpan(msg, nil) {
 		t.Fatal("delivery failed on a clean chain")
 	}
 	st := net.Stats()
@@ -66,10 +66,10 @@ func TestSendDeliversAndCharges(t *testing.T) {
 	// Node 0 paid tx once, node 1 rx+tx, node 2 rx+tx, base free.
 	bytes := float64(msg.bytes(radio.OverheadBytes))
 	wantMiddle := radio.BatteryJ - bytes*(radio.TxPerByte+radio.RxPerByte)
-	if got := net.Energy(1); math.Abs(got-wantMiddle) > 1e-12 {
+	if got := net.energy[1]; math.Abs(got-wantMiddle) > 1e-12 {
 		t.Fatalf("node 1 energy = %v, want %v", got, wantMiddle)
 	}
-	if got := net.Energy(0); math.Abs(got-(radio.BatteryJ-bytes*radio.TxPerByte)) > 1e-12 {
+	if got := net.energy[0]; math.Abs(got-(radio.BatteryJ-bytes*radio.TxPerByte)) > 1e-12 {
 		t.Fatalf("node 0 energy = %v", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestBeginEpochIdleDrain(t *testing.T) {
 	}
 	net.BeginEpoch()
 	net.BeginEpoch()
-	if got := net.Energy(0); math.Abs(got-(radio.BatteryJ-2*radio.IdlePerEpoch)) > 1e-12 {
+	if got := net.energy[0]; math.Abs(got-(radio.BatteryJ-2*radio.IdlePerEpoch)) > 1e-12 {
 		t.Fatalf("idle drain wrong: %v", got)
 	}
 	if net.Stats().Epochs != 2 {
@@ -108,7 +108,7 @@ func TestDeadNodeKillsRelay(t *testing.T) {
 	if net.AliveCount() != 0 {
 		t.Fatalf("tiny batteries should all be dead, alive = %d", net.AliveCount())
 	}
-	if net.Send(Message{From: 0, To: top.Base()}) {
+	if net.SendSpan(Message{From: 0, To: top.Base()}, nil) {
 		t.Fatal("dead source should not send")
 	}
 }
@@ -131,11 +131,11 @@ func TestRouteRepairAroundDeadNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill node 1 directly.
-	net.spend(1, net.Energy(1)+1)
+	net.spend(1, net.energy[1]+1)
 	if net.Alive(1) {
 		t.Fatal("node 1 should be dead")
 	}
-	if !net.Send(Message{From: 0, To: top.Base(), Values: []float64{1}}) {
+	if !net.SendSpan(Message{From: 0, To: top.Base(), Values: []float64{1}}, nil) {
 		t.Fatal("route repair via node 2 failed")
 	}
 }
@@ -150,7 +150,7 @@ func TestLossDropsMessages(t *testing.T) {
 	}
 	delivered := 0
 	for i := 0; i < 200; i++ {
-		if net.Send(Message{From: 0, To: top.Base(), Values: []float64{1}}) {
+		if net.SendSpan(Message{From: 0, To: top.Base(), Values: []float64{1}}, nil) {
 			delivered++
 		}
 	}
@@ -360,7 +360,7 @@ func TestEnergyConservation(t *testing.T) {
 	}
 	remaining := 0.0
 	for i := 0; i < 11; i++ {
-		remaining += net.Energy(i)
+		remaining += net.energy[i]
 	}
 	initial := radio.BatteryJ * 11
 	if diff := math.Abs(initial - remaining - net.Stats().EnergySpent); diff > 1e-9 {
@@ -380,7 +380,7 @@ func TestDeadRootSilencesCliqueButEpochContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill node 0, the root of clique {0,1}.
-	net.spend(0, net.Energy(0)+1)
+	net.spend(0, net.energy[0]+1)
 	if net.Alive(0) {
 		t.Fatal("node 0 should be dead")
 	}

@@ -19,13 +19,15 @@ import (
 	"ken/internal/wire"
 )
 
-// shedTenant drives the named tenant into the shed state: one-frame
-// budget daemons with a slowed applier overflow on a three-frame burst.
-// The daemon must have been built with FrameBudget 1 and a large
-// ApplyDelay.
-func shedTenant(t *testing.T, d *Daemon, addr, name string) {
+// playPaced streams the tenant's deployment into a daemon built with
+// FrameBudget 1 and a large ApplyDelay. It writes frame 0, waits until the
+// applier has taken it from the queue (waitForDrain), then writes the
+// remaining frames back to back, and returns the open connection. With two
+// frames the second finds an empty queue; with three the last one
+// outruns the budget while the applier still holds frame 0, so the shed
+// lands on frame 2 with nothing left unread.
+func playPaced(t *testing.T, d *Daemon, ln *tapListener, name string, p deploy.Params) *countingConn {
 	t.Helper()
-	p := deploy.Params{Dataset: "garden", Seed: 1, TestSteps: 3}
 	dep, err := deploy.Build(p)
 	if err != nil {
 		t.Fatal(err)
@@ -34,11 +36,12 @@ func shedTenant(t *testing.T, d *Daemon, addr, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", addr)
+	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { _ = c.Close() })
+	conn := &countingConn{Conn: c}
 	if _, err := stream.Handshake(conn, wire.Hello{Tenant: name, Spec: p.EncodeSpec()}); err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +54,18 @@ func shedTenant(t *testing.T, d *Daemon, addr, name string) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			time.Sleep(100 * time.Millisecond)
+			waitForDrain(t, d, ln, conn, name)
 		}
 	}
+	return conn
+}
+
+// shedTenant drives the named tenant into the shed state with a
+// three-frame playPaced session and returns the daemon's answer. The
+// daemon must have been built with FrameBudget 1 and a large ApplyDelay.
+func shedTenant(t *testing.T, d *Daemon, ln *tapListener, name string) wire.Session {
+	t.Helper()
+	conn := playPaced(t, d, ln, name, deploy.Params{Dataset: "garden", Seed: 1, TestSteps: 3})
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	s, err := stream.ReadSession(conn)
 	if err != nil {
@@ -65,6 +77,7 @@ func shedTenant(t *testing.T, d *Daemon, addr, name string) {
 	if st, detail := waitForState(d, name, StateShed); st != StateShed {
 		t.Fatalf("tenant state %s (%s), want shed", st, detail)
 	}
+	return s
 }
 
 // TestHealthEndpoint walks /v1/health through the full transition: 200
@@ -72,7 +85,7 @@ func shedTenant(t *testing.T, d *Daemon, addr, name string) {
 // the moment a tenant is shed — the smoke test's end-to-end probe, pinned
 // here at the package level.
 func TestHealthEndpoint(t *testing.T) {
-	d, addr := newDaemon(t, Config{FrameBudget: 1, ApplyDelay: 300 * time.Millisecond})
+	d, ln := newTapDaemon(t, Config{FrameBudget: 1, ApplyDelay: 300 * time.Millisecond})
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
@@ -99,7 +112,7 @@ func TestHealthEndpoint(t *testing.T) {
 	// A tenant that finishes cleanly stays benign: terminal, but not
 	// unhealthy, so the daemon keeps answering 200.
 	p := deploy.Params{Dataset: "garden", Seed: 2, TestSteps: 2}
-	if _, err := runTenant(addr, "clean", p); err != nil {
+	if err := playPaced(t, d, ln, "clean", p).Close(); err != nil {
 		t.Fatal(err)
 	}
 	if st, detail := waitForState(d, "clean", StateClosed); st != StateClosed {
@@ -114,7 +127,7 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 
 	// Shedding flips the daemon to 503 with a machine-readable reason.
-	shedTenant(t, d, addr, "slow")
+	shedTenant(t, d, ln, "slow")
 	code, rep = getHealth(t)
 	if code != http.StatusServiceUnavailable || rep.Status != "degraded" || rep.Unhealthy != 1 {
 		t.Fatalf("after shed: code=%d status=%s unhealthy=%d, want 503 degraded 1", code, rep.Status, rep.Unhealthy)
@@ -196,8 +209,8 @@ func TestSLOEndpoint(t *testing.T) {
 // /v1/metrics with 200 and their frozen state — shedding disconnects the
 // source, never the readers.
 func TestTerminalTenantQueryable(t *testing.T) {
-	d, addr := newDaemon(t, Config{FrameBudget: 1, ApplyDelay: 300 * time.Millisecond})
-	shedTenant(t, d, addr, "slow")
+	d, ln := newTapDaemon(t, Config{FrameBudget: 1, ApplyDelay: 300 * time.Millisecond})
+	shedTenant(t, d, ln, "slow")
 	// The shed disconnects the source; the already-queued frames still
 	// drain through the (slowed) applier. Wait for them so the frozen
 	// answer below is past step 0.

@@ -37,10 +37,6 @@ type Config struct {
 	// frames (default 256). A source that overruns it is shed with
 	// wire.RejectSlowTenant.
 	FrameBudget int
-	// HandshakeTimeout bounds how long a connection may sit between
-	// accept and a complete HELLO (default 10s) so half-open dials
-	// cannot pin goroutines.
-	HandshakeTimeout time.Duration
 	// Pin, when non-nil, restricts admission to specs that build the
 	// same replica (deploy.Params.ReplicaKey); others are rejected with
 	// wire.RejectSpecMismatch. TestSteps/HeartbeatEvery may still differ.
@@ -65,11 +61,12 @@ func (c Config) withDefaults() Config {
 	if c.FrameBudget <= 0 {
 		c.FrameBudget = 256
 	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 10 * time.Second
-	}
 	return c
 }
+
+// handshakeTimeout bounds how long a connection may sit between accept and
+// a complete HELLO so half-open dials cannot pin goroutines.
+const handshakeTimeout = 10 * time.Second
 
 // TenantState is the lifecycle phase of a tenant session.
 type TenantState string
@@ -287,7 +284,7 @@ func (d *Daemon) handleConn(conn net.Conn) {
 	}()
 
 	d.mSessions.Inc()
-	_ = conn.SetReadDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	h, err := stream.ReadHello(conn)
 	if err != nil {
 		if errors.Is(err, wire.ErrVersionMismatch) {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,14 +25,95 @@ import (
 // the test.
 func newDaemon(t *testing.T, cfg Config) (*Daemon, string) {
 	t.Helper()
+	d, ln := newTapDaemon(t, cfg)
+	return d, ln.Addr().String()
+}
+
+// newTapDaemon is newDaemon serving through a tapListener, for tests that
+// pace their writes with waitForDrain.
+func newTapDaemon(t *testing.T, cfg Config) (*Daemon, *tapListener) {
+	t.Helper()
 	d := New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := &tapListener{Listener: inner, conns: map[string]*tapConn{}}
 	go func() { _ = d.Serve(ln) }()
 	t.Cleanup(func() { _ = ln.Close(); d.Close() })
-	return d, ln.Addr().String()
+	return d, ln
+}
+
+// tapListener wraps every connection the daemon accepts in a tapConn,
+// indexed by the client's address.
+type tapListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns map[string]*tapConn
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	tc := &tapConn{Conn: c}
+	l.mu.Lock()
+	l.conns[c.RemoteAddr().String()] = tc
+	l.mu.Unlock()
+	return tc, nil
+}
+
+// tapConn records how many bytes the daemon has read from the connection
+// and whether it is blocked in Read asking for more.
+type tapConn struct {
+	net.Conn
+	read    atomic.Int64
+	waiting atomic.Bool
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	c.waiting.Store(true)
+	n, err := c.Conn.Read(p)
+	c.waiting.Store(false)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+// countingConn is the client end of a session, counting the bytes written.
+type countingConn struct {
+	net.Conn
+	written int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written += int64(n)
+	return n, err
+}
+
+// waitForDrain polls, like waitForState, until the daemon has finished
+// with everything written on conn: its reader has read every byte and is
+// blocked asking for more, so the last frame is queued, and
+// len(tenant.frames) == 0, so the applier has taken it. A frame written
+// next finds an empty queue however the reader and applier goroutines
+// are scheduled.
+func waitForDrain(t *testing.T, d *Daemon, ln *tapListener, conn *countingConn, name string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ln.mu.Lock()
+		tc := ln.conns[conn.LocalAddr().String()]
+		ln.mu.Unlock()
+		tn, ok := d.lookup(name)
+		if ok && tc != nil && tc.waiting.Load() && tc.read.Load() == conn.written && len(tn.frames) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tenant %s never drained its queue", name)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // runTenant plays one full source session against the daemon and mirrors
@@ -362,46 +444,8 @@ func TestEmptyTenantAssigned(t *testing.T) {
 // daemon sheds the tenant with a typed RejectSlowTenant and the replica
 // stays queryable.
 func TestShedSlowTenant(t *testing.T) {
-	d, addr := newDaemon(t, Config{FrameBudget: 1, ApplyDelay: 300 * time.Millisecond})
-	p := deploy.Params{Dataset: "garden", Seed: 1, TestSteps: 3}
-	dep, err := deploy.Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := stream.NewSource(dep.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := stream.Handshake(conn, wire.Hello{Tenant: "slow", Spec: p.EncodeSpec()}); err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range dep.Test {
-		f, err := src.Collect(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := stream.WriteFrame(conn, f, src.Resolution()); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			// Let the applier dequeue frame 0 before the burst, so the shed
-			// lands deterministically on frame 2 with nothing left unread.
-			time.Sleep(100 * time.Millisecond)
-		}
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	s, err := stream.ReadSession(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Reject == nil || s.Reject.Code != wire.RejectSlowTenant {
-		t.Fatalf("shed answered with %+v, want slow-tenant reject", s)
-	}
+	d, ln := newTapDaemon(t, Config{FrameBudget: 1, ApplyDelay: 300 * time.Millisecond})
+	s := shedTenant(t, d, ln, "slow")
 	if rejErr := s.Reject.Err(); !errors.Is(rejErr, wire.ErrSpecRejected) || !strings.Contains(rejErr.Error(), "shed") {
 		t.Fatalf("reject error %v", rejErr)
 	}

@@ -58,6 +58,26 @@ const (
 	ReasonClosed        = "closed"
 )
 
+// Health thresholds.
+const (
+	// maxViolationRate is the windowed violations-per-reported-value rate
+	// above which a tenant degrades.
+	maxViolationRate = 0.01
+	// divergenceDevEps is the heartbeat deviation (in multiples of ε) that
+	// trips the replica-divergence sentinel. It is calibrated for gross
+	// lock-step breaks only — corrupt values, wrong units, a replica
+	// conditioned on the wrong stream — which land orders of magnitude
+	// past ε. Healthy lock-step runs show heartbeat deviations up to ~7×ε
+	// (measured on garden across seeds), and even a replica built from the
+	// wrong model stays in that band because heartbeats keep resyncing its
+	// state; subtle divergence is indistinguishable live and belongs to the
+	// offline auditor (kenaudit).
+	divergenceDevEps = 25
+	// queuePressure degrades a tenant whose queue depth exceeds this
+	// fraction of QueueCap (disabled when QueueCap is 0).
+	queuePressure = 0.8
+)
+
 // Config sizes and polices the monitor.
 type Config struct {
 	// Window is the rolling SLO window width (default 60s).
@@ -68,23 +88,6 @@ type Config struct {
 	// LatencyBudget is the ingest→apply latency above which an ε
 	// deviation counts as a served violation (default 100ms).
 	LatencyBudget time.Duration
-	// MaxViolationRate is the windowed violations-per-reported-value
-	// rate above which a tenant degrades (default 0.01).
-	MaxViolationRate float64
-	// DivergenceDevEps is the heartbeat deviation (in multiples of ε)
-	// that trips the replica-divergence sentinel (default 25). The
-	// default is calibrated for gross lock-step breaks only — corrupt
-	// values, wrong units, a replica conditioned on the wrong stream —
-	// which land orders of magnitude past ε. Healthy lock-step runs
-	// show heartbeat deviations up to ~7×ε (measured on garden across
-	// seeds), and even a replica built from the wrong model stays in
-	// that band because heartbeats keep resyncing its state; subtle
-	// divergence is indistinguishable live and belongs to the offline
-	// auditor (kenaudit).
-	DivergenceDevEps float64
-	// QueuePressure degrades a tenant whose queue depth exceeds this
-	// fraction of QueueCap (default 0.8; disabled when QueueCap is 0).
-	QueuePressure float64
 	// QueueCap is the tenant frame budget (for pressure and reporting).
 	QueueCap int
 	// FeedCapacity bounds the event ring (default DefaultFeedCapacity).
@@ -107,15 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LatencyBudget <= 0 {
 		c.LatencyBudget = 100 * time.Millisecond
-	}
-	if c.MaxViolationRate <= 0 {
-		c.MaxViolationRate = 0.01
-	}
-	if c.DivergenceDevEps <= 0 {
-		c.DivergenceDevEps = 25
-	}
-	if c.QueuePressure <= 0 {
-		c.QueuePressure = 0.8
 	}
 	if c.SyncEvery <= 0 {
 		c.SyncEvery = 250 * time.Millisecond
@@ -521,13 +515,13 @@ func (m *Monitor) statusLocked(name string, ts *tenantState) TenantStatus {
 		st.Reasons = append(st.Reasons, ReasonStale)
 		return st
 	}
-	if w.ViolationRate > m.cfg.MaxViolationRate {
+	if w.ViolationRate > maxViolationRate {
 		st.Reasons = append(st.Reasons, ReasonViolationRate)
 	}
 	if w.DivergenceSuspected {
 		st.Reasons = append(st.Reasons, ReasonDivergence)
 	}
-	if m.cfg.QueueCap > 0 && float64(w.QueueDepth) > m.cfg.QueuePressure*float64(m.cfg.QueueCap) {
+	if m.cfg.QueueCap > 0 && float64(w.QueueDepth) > queuePressure*float64(m.cfg.QueueCap) {
 		st.Reasons = append(st.Reasons, ReasonQueuePressure)
 	}
 	if len(st.Reasons) > 0 {
@@ -578,7 +572,7 @@ func (m *Monitor) windowLocked(ts *tenantState, now time.Time) WindowStats {
 		w.DeviationRate = float64(w.Deviations) / float64(w.Values)
 		w.ViolationRate = float64(w.Violations) / float64(w.Values)
 	}
-	w.DivergenceSuspected = w.HeartbeatMaxDevEps >= m.cfg.DivergenceDevEps
+	w.DivergenceSuspected = w.HeartbeatMaxDevEps >= divergenceDevEps
 	since := ts.lastApplied
 	if since.IsZero() {
 		since = ts.firstSeen

@@ -36,8 +36,7 @@
 // CAN expose live is a gross lock-step break — corrupt values, wrong
 // units, a replica fed the wrong stream — which lands orders of
 // magnitude past ε. The sentinel flags `divergence-suspected` when a
-// windowed heartbeat deviation exceeds DivergenceDevEps multiples of ε
-// (default 25): a heuristic for the gross class only; subtle divergence
+// windowed heartbeat deviation exceeds 25 multiples of ε: a heuristic for the gross class only; subtle divergence
 // is kenaudit's offline silent-divergence invariant.
 package slo
 

@@ -134,10 +134,9 @@ func TestMonitorWindowRotation(t *testing.T) {
 
 func TestMonitorHealthTransitions(t *testing.T) {
 	m, clk := testMonitor(t, Config{
-		StaleAfter:       10 * time.Second,
-		LatencyBudget:    100 * time.Millisecond,
-		MaxViolationRate: 0.01,
-		QueueCap:         10,
+		StaleAfter:    10 * time.Second,
+		LatencyBudget: 100 * time.Millisecond,
+		QueueCap:      10,
 	})
 
 	// Fresh tenant: tracked moments ago, nothing applied — still ok.

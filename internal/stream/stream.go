@@ -517,17 +517,3 @@ func (r *Replica) Serve(rd io.Reader) error {
 		}
 	}
 }
-
-// Pump runs the source over the rows, writing one frame per row.
-func (s *Source) Pump(w io.Writer, rows [][]float64) error {
-	for _, row := range rows {
-		f, err := s.Collect(row)
-		if err != nil {
-			return err
-		}
-		if err := WriteFrame(w, f, s.res); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -152,8 +152,14 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Pump(conn, test); err != nil {
-		t.Fatal(err)
+	for _, row := range test {
+		f, err := src.Collect(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(conn, f, src.Resolution()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	conn.Close()
 	if err := <-serveErr; err != nil {

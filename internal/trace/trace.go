@@ -95,12 +95,6 @@ func (tr *Trace) Steps() int {
 	return 0
 }
 
-// HasAttribute reports whether the trace carries the attribute.
-func (tr *Trace) HasAttribute(a Attribute) bool {
-	_, ok := tr.Data[a]
-	return ok
-}
-
 // Rows returns the [t][node] matrix for an attribute.
 func (tr *Trace) Rows(a Attribute) ([][]float64, error) {
 	rows, ok := tr.Data[a]
@@ -190,22 +184,4 @@ func (tr *Trace) InjectAnomaly(a Attribute, node, from, to int, delta float64) e
 		rows[t][node] += delta
 	}
 	return nil
-}
-
-// Downsample returns a new trace keeping every k-th step (k >= 1), sharing
-// row storage. The paper samples the deployments at minute granularity but
-// evaluates Ken at hourly granularity; this is that operation.
-func (tr *Trace) Downsample(k int) (*Trace, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("trace: downsample factor %d < 1", k)
-	}
-	out := &Trace{Deployment: tr.Deployment, StepMinutes: tr.StepMinutes * float64(k), Data: map[Attribute][][]float64{}}
-	for a, rows := range tr.Data {
-		kept := make([][]float64, 0, (len(rows)+k-1)/k)
-		for t := 0; t < len(rows); t += k {
-			kept = append(kept, rows[t])
-		}
-		out.Data[a] = kept
-	}
-	return out, nil
 }

@@ -359,31 +359,6 @@ func TestInjectAnomaly(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	tr, err := GenerateGarden(12, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := tr.Downsample(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Steps() != 10 {
-		t.Fatalf("downsampled steps = %d, want 10", ds.Steps())
-	}
-	if ds.StepMinutes != tr.StepMinutes*10 {
-		t.Fatalf("step duration = %v", ds.StepMinutes)
-	}
-	orig, _ := tr.Rows(Temperature)
-	down, _ := ds.Rows(Temperature)
-	if down[1][0] != orig[10][0] {
-		t.Fatal("downsample picked wrong rows")
-	}
-	if _, err := tr.Downsample(0); err == nil {
-		t.Fatal("expected error for factor 0")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr, err := GenerateGarden(13, 25)
 	if err != nil {
