@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint fmt-check test race alloc-check cover bench bench-smoke bench-baseline bench-compare audit-smoke faults-smoke sinkd-smoke perfbench-test figures examples fuzz clean
+.PHONY: all check build vet lint fmt-check test race alloc-check cover bench bench-smoke audit-smoke faults-smoke sinkd-smoke perfbench-test figures examples fuzz clean
 
 all: build test
 
@@ -48,31 +48,15 @@ alloc-check:
 cover:
 	$(GO) test -cover ./internal/...
 
+# bench runs the go test micro-benchmarks. The repository benchmark —
+# repeated runs with medians, spread, a host fingerprint and per-layer
+# metrics — is perfbench/ (see BENCHMARK.json and perfbench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Fast end-to-end pass over every figure on the parallel engine.
 bench-smoke:
 	$(GO) run ./cmd/kenbench -all -quick -parallel 8
-
-# bench-baseline records the three layer throughput yardsticks as
-# BENCH_{core,engine,stream}.json at the repo root: the core DjC2 replay
-# (epochs/sec), the Fig 9 cell suite on a cold engine (cells/sec) and the
-# framed source→replica loop (frames/sec). Setup — trace generation,
-# model fits, clique selection — is excluded from the stopwatch. CI
-# uploads the three files as an artifact so regressions are comparable
-# across runs.
-bench-baseline:
-	$(GO) run ./cmd/kenbench -baseline-out . -test 600
-	$(GO) run ./cmd/kenswarm -selfhost -tenants 16 -steps 200 -baseline-out .
-
-# bench-compare re-times the kenbench layer yardsticks against the
-# committed BENCH_{core,engine,stream}.json and fails on a >15%
-# throughput regression, writing the diff to bench-compare.json. CI runs
-# it non-blocking (shared runners jitter) and uploads the report; run it
-# locally before committing anything hot-path adjacent.
-bench-compare:
-	$(GO) run ./cmd/kenbench -baseline-compare . -compare-out bench-compare.json -test 600
 
 # sinkd-smoke proves the multi-tenant daemon end to end with real
 # processes: kensinkd pinned to one deployment, three concurrent kensource
@@ -162,6 +146,8 @@ figures:
 	$(GO) run ./cmd/kenbench -fig 15 -test 900
 	$(GO) run ./cmd/kenbench -fig 16 -test 1500
 
+# examples runs every examples/ program end to end (CI does too);
+# examples/streaming is the in-process source → replica demo.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/redwood
@@ -172,10 +158,14 @@ examples:
 	$(GO) run ./examples/pullquery
 	$(GO) run ./examples/analysis
 
+# fuzz is the nightly CI job: the wire-frame and session decoders, the
+# CSV trace reader, and frame streams applied to a live replica (a
+# refused frame must leave its answer bit-for-bit unchanged).
 fuzz:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeSession$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzReadCSVMatrix -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz FuzzReplicaApply -fuzztime 30s ./internal/stream/
 
 clean:
 	$(GO) clean -testcache

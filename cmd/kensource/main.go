@@ -1,6 +1,6 @@
 // Command kensource is the sensor-network endpoint of the streaming Ken
 // system: it builds the source replica from its deployment flags,
-// connects to a sink (kensink or kensinkd), and opens the session with a
+// connects to a kensinkd sink, and opens the session with a
 // HELLO frame carrying the serialized deployment spec — the sink builds
 // its replica from that spec, so the two processes no longer have to be
 // launched with byte-identical flags. After the typed ACCEPT it streams
@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var o options
 	o.params.Register(fs)
-	fs.StringVar(&o.connect, "connect", "127.0.0.1:7070", "sink address (kensink or kensinkd)")
+	fs.StringVar(&o.connect, "connect", "127.0.0.1:7070", "kensinkd session address")
 	fs.StringVar(&o.tenant, "tenant", "", "tenant name offered in the handshake (empty = sink assigns one)")
 	fs.IntVar(&o.params.TestSteps, "steps", 500, "steps to stream")
 	fs.IntVar(&o.params.HeartbeatEvery, "heartbeat", 24, "heartbeat frame interval (0 disables)")

@@ -5,12 +5,14 @@
 // frames/sec. With -verify it also proves zero cross-tenant divergence:
 // each tenant's /v1/query answer must be bit-identical to a local
 // single-tenant reference replica built from the same spec and fed the
-// same frames (the lock-step property a standalone kensim/kensink run at
-// that spec computes), and within ±ε of the ground truth rows.
+// same frames (the lock-step property a standalone kensim run or a
+// kensinkd -pin daemon at that spec computes), and within ±ε of the
+// ground truth rows. The repository benchmark (perfbench/) is the
+// repeated, per-layer throughput yardstick; kenswarm's rates are a
+// single pass.
 //
 //	kenswarm -selfhost -tenants 64 -specs 4 -steps 200 -verify
 //	kenswarm -connect 127.0.0.1:7070 -http http://127.0.0.1:7071 -tenants 16 -verify
-//	kenswarm -selfhost -tenants 16 -steps 200 -baseline-out .   # BENCH_sinkd.json
 package main
 
 import (
@@ -23,8 +25,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -40,15 +40,14 @@ func main() {
 }
 
 type options struct {
-	connect     string
-	httpBase    string
-	selfhost    bool
-	tenants     int
-	specs       int
-	wait        time.Duration
-	verify      bool
-	baselineOut string
-	params      deploy.Params
+	connect  string
+	httpBase string
+	selfhost bool
+	tenants  int
+	specs    int
+	wait     time.Duration
+	verify   bool
+	params   deploy.Params
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.params.HeartbeatEvery, "heartbeat", 24, "heartbeat frame interval (0 disables)")
 	fs.DurationVar(&o.wait, "wait", 5*time.Second, "retry window for the first connection (lets the daemon finish starting)")
 	fs.BoolVar(&o.verify, "verify", false, "after streaming, check every tenant's /v1/query answer bit-identical to a local reference replica and within ±ε of truth")
-	fs.StringVar(&o.baselineOut, "baseline-out", "", "write the BENCH_sinkd.json throughput yardstick into this directory")
 	var logFlags obs.LogFlags
 	logFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -235,11 +233,6 @@ func (o options) run(stdout io.Writer) error {
 		fmt.Fprintf(stdout, "kenswarm: verified %d tenants: answers bit-identical to the single-tenant reference and within ±ε of truth\n",
 			len(tenants))
 	}
-	if o.baselineOut != "" {
-		if err := writeBaseline(o, sessPerSec, framesPerSec, frames, streamSec); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -381,49 +374,4 @@ func selfhost() (stop func(), sessionAddr, httpBase string, err error) {
 		d.Close()
 	}
 	return stop, ln.Addr().String(), "http://" + httpLn.Addr().String(), nil
-}
-
-// sinkdBaseline mirrors kenbench's BENCH_*.json schema with the extra
-// sessions/sec figure the daemon adds.
-type sinkdBaseline struct {
-	Benchmark      string  `json:"benchmark"`
-	Unit           string  `json:"unit"`
-	PerSec         float64 `json:"per_sec"`
-	SessionsPerSec float64 `json:"sessions_per_sec"`
-	Count          int     `json:"count"`
-	Seconds        float64 `json:"seconds"`
-	Config         string  `json:"config"`
-	GoMaxProcs     int     `json:"gomaxprocs"`
-	GoVersion      string  `json:"go_version"`
-}
-
-func writeBaseline(o options, sessPerSec, framesPerSec float64, frames int, seconds float64) error {
-	if err := os.MkdirAll(o.baselineOut, 0o755); err != nil {
-		return err
-	}
-	res := sinkdBaseline{
-		Benchmark: "sinkd", Unit: "frames/sec",
-		PerSec: framesPerSec, SessionsPerSec: sessPerSec,
-		Count: frames, Seconds: seconds,
-		Config: fmt.Sprintf("%d tenants × %d steps over %d specs (%s), selfhost=%v",
-			o.tenants, o.params.TestSteps, o.specs, o.params.ReplicaKey(), o.selfhost),
-		GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version(),
-	}
-	path := filepath.Join(o.baselineOut, "BENCH_sinkd.json")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	slog.Info("baseline written", "path", path,
-		"throughput", fmt.Sprintf("%.0f frames/sec, %.0f sessions/sec", framesPerSec, sessPerSec))
-	return nil
 }

@@ -72,3 +72,39 @@ func TestAllocBudgetLossyKenReplay(t *testing.T) {
 		t.Errorf("suppressed LossyKen epoch: %v allocs/op, budget 0", got)
 	}
 }
+
+// TestAllocBudgetKenReportingEpoch pins a reporting Ken epoch — predict,
+// bound check, greedy report search, and conditioning both replicas on
+// every attribute — at its measured allocation count. Bounds far tighter
+// than the signal make every epoch report every attribute
+// deterministically. The budget only ever goes down.
+func TestAllocBudgetKenReportingEpoch(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("alloc budgets are not meaningful under -race")
+	}
+	const budget = 9 // measured; lower it as reporting epochs shed allocations
+	train, test, _ := gardenData(t, 4, 100, 10)
+	eps := []float64{1e-6, 1e-6, 1e-6, 1e-6}
+	s, err := NewKen(KenConfig{
+		Partition: pairPartition(4),
+		Train:     train,
+		Eps:       eps,
+		FitCfg:    model.FitConfig{Period: 24},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := test[0]
+	got := testing.AllocsPerRun(100, func() {
+		_, st, err := s.Step(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ValuesReported != len(row) {
+			t.Fatalf("epoch reported %d of %d values despite tight bounds — budget premise broken", st.ValuesReported, len(row))
+		}
+	})
+	if got > budget {
+		t.Errorf("reporting Ken epoch: %v allocs/op, budget %d", got, budget)
+	}
+}

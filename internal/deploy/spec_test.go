@@ -110,8 +110,8 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestRegister: the one shared flag block drives kensink, kensource and
-// kensinkd; parsing it must populate exactly the replica-relevant fields.
+// TestRegister: the one shared flag block drives kensource, kensinkd
+// and kenswarm; parsing it must populate exactly the replica-relevant fields.
 func TestRegister(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)

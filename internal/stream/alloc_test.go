@@ -51,3 +51,52 @@ func TestAllocBudgetStream(t *testing.T) {
 		t.Errorf("empty Replica.Apply: %v allocs/op, budget 0", got)
 	}
 }
+
+// TestAllocBudgetStreamReportingFrame pins one full-report frame through
+// the framed protocol path — Source.Collect, wire.Encode, wire.DecodeInto
+// into a reused frame, Replica.ApplyObserved — at its measured allocation
+// count. Bounds far tighter than the signal make every frame carry every
+// attribute deterministically. The budget only ever goes down.
+func TestAllocBudgetStreamReportingFrame(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("alloc budgets are not meaningful under -race")
+	}
+	const budget = 34 // measured; lower it as reporting epochs shed allocations
+	cfg, test := testConfig(t)
+	for i := range cfg.Eps {
+		cfg.Eps[i] = 1e-6
+	}
+	src, err := NewSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplica(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := test[0]
+	var dec wire.Frame
+	var st ApplyStats
+	got := testing.AllocsPerRun(100, func() {
+		f, err := src.Collect(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Attrs) != len(row) {
+			t.Fatalf("frame carried %d of %d values despite tight bounds — budget premise broken", len(f.Attrs), len(row))
+		}
+		buf, err := wire.Encode(f, src.Resolution())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.DecodeInto(&dec, buf, rep.Resolution()); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.ApplyObserved(dec, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("reporting frame: %v allocs/op, budget %d", got, budget)
+	}
+}

@@ -465,18 +465,13 @@ func WriteFrame(w io.Writer, f wire.Frame, res float64) error {
 	return writeRaw(w, buf)
 }
 
-// ReadFrame reads one length-prefixed frame. io.EOF at a frame boundary is
-// returned as io.EOF; a partial frame is an unexpected-EOF error.
-func ReadFrame(rd io.Reader, res float64) (wire.Frame, error) {
-	f, _, err := ReadFrameBuf(rd, res, nil)
-	return f, err
-}
-
-// ReadFrameBuf is ReadFrame with a caller-owned raw-body buffer: the frame
-// body is read into buf's backing array when its capacity suffices, and the
-// (possibly grown) buffer is returned for the next call. The decoded
-// frame's Attrs/Values are freshly allocated, so the frame may be retained
-// or queued while buf is reused for further reads.
+// ReadFrameBuf reads one length-prefixed frame into a caller-owned
+// raw-body buffer: the frame body is read into buf's backing array when
+// its capacity suffices, and the (possibly grown) buffer is returned for
+// the next call. io.EOF at a frame boundary is returned as io.EOF; a
+// partial frame is an unexpected-EOF error. The decoded frame's
+// Attrs/Values are freshly allocated, so the frame may be retained or
+// queued while buf is reused for further reads.
 func ReadFrameBuf(rd io.Reader, res float64, buf []byte) (wire.Frame, []byte, error) {
 	body, err := readRawInto(rd, buf)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 
 // testConfig builds a shared endpoint config over garden data and returns
 // it with the test rows.
-func testConfig(t *testing.T) (Config, [][]float64) {
+func testConfig(t testing.TB) (Config, [][]float64) {
 	t.Helper()
 	tr, err := trace.GenerateGarden(71, 350)
 	if err != nil {
@@ -87,6 +87,7 @@ func TestEndToEndGuaranteeOverBuffer(t *testing.T) {
 		t.Fatal("endpoints negotiated different resolutions")
 	}
 	var pipe bytes.Buffer
+	var body []byte
 	sent := 0
 	for step, row := range test {
 		f, err := src.Collect(row)
@@ -97,7 +98,8 @@ func TestEndToEndGuaranteeOverBuffer(t *testing.T) {
 		if err := WriteFrame(&pipe, f, src.Resolution()); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFrame(&pipe, sink.Resolution())
+		var got wire.Frame
+		got, body, err = ReadFrameBuf(&pipe, sink.Resolution(), body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,23 +236,23 @@ func TestApplyRejectsOutOfOrderFrames(t *testing.T) {
 }
 
 func TestReadFrameErrors(t *testing.T) {
-	if _, err := ReadFrame(bytes.NewReader(nil), 0.01); err != io.EOF {
+	if _, _, err := ReadFrameBuf(bytes.NewReader(nil), 0.01, nil); err != io.EOF {
 		t.Fatalf("empty reader: got %v, want io.EOF", err)
 	}
 	// Partial header.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0}), 0.01); err == nil || err == io.EOF {
+	if _, _, err := ReadFrameBuf(bytes.NewReader([]byte{0, 0}), 0.01, nil); err == nil || err == io.EOF {
 		t.Fatalf("partial header: got %v", err)
 	}
 	// Oversized frame.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf, 0.01); err == nil {
+	if _, _, err := ReadFrameBuf(&buf, 0.01, nil); err == nil {
 		t.Fatal("expected error for oversized frame")
 	}
 	// Truncated body.
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 10, 1, 2})
-	if _, err := ReadFrame(&buf, 0.01); err == nil || err == io.EOF {
+	if _, _, err := ReadFrameBuf(&buf, 0.01, nil); err == nil || err == io.EOF {
 		t.Fatal("expected error for truncated body")
 	}
 }

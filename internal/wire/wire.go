@@ -160,6 +160,11 @@ func DecodeInto(f *Frame, buf []byte, resolution float64) error {
 		if i > 0 && d == 0 {
 			return fmt.Errorf("%w: duplicate attribute delta", ErrCorrupt)
 		}
+		// A delta past the int range would wrap prev back onto (or below)
+		// an attribute already decoded.
+		if d > uint64(math.MaxInt-prev) {
+			return fmt.Errorf("%w: attribute delta overflows", ErrCorrupt)
+		}
 		rest = rest[n:]
 		prev += int(d)
 		attrs = append(attrs, prev)
